@@ -41,11 +41,6 @@ struct StorageConfig {
   uint64_t block_cache_mb = 0;
   int wal = -1;  // -1 = unset (environment default), 0 = off, 1 = on
   std::string wal_sync;
-  // --wal_group_commit=1 amortizes every-record fsyncs across concurrent
-  // writers; --shared_wal=1 gives the dataset one log stream for all of its
-  // index trees instead of one per tree.
-  int wal_group_commit = -1;
-  bool shared_wal = false;
   // --merge_policy=nomerge|constant|prefix|tiered|leveled|partitioned
   // swaps the compaction policy every dataset runs under; empty keeps the
   // paper-mode Tiered default.
@@ -82,10 +77,6 @@ std::unique_ptr<Dataset> OpenDataset(const std::string& dir,
     LSMSTATS_CHECK_OK(sync_mode.status());
     options.wal_sync_mode = *sync_mode;
   }
-  if (storage.wal_group_commit >= 0) {
-    options.wal_group_commit = storage.wal_group_commit != 0;
-  }
-  options.shared_wal = storage.shared_wal;
   auto dataset = Dataset::Open(std::move(options));
   LSMSTATS_CHECK_OK(dataset.status());
   return std::move(dataset).value();
@@ -106,8 +97,7 @@ struct CommitRunResult {
 
 CommitRunResult MultiWriterWalIngest(uint64_t records, size_t writers,
                                      size_t batch, size_t payload, int wal,
-                                     const std::string& wal_sync,
-                                     bool group_commit) {
+                                     const std::string& wal_sync) {
   ScopedTempDir dir;
   LsmTreeOptions options;
   options.directory = dir.path();
@@ -120,7 +110,6 @@ CommitRunResult MultiWriterWalIngest(uint64_t records, size_t writers,
     LSMSTATS_CHECK_OK(sync_mode.status());
     options.wal_sync_mode = *sync_mode;
   }
-  options.wal_group_commit = group_commit;
   auto tree_or = LsmTree::Open(options);
   LSMSTATS_CHECK_OK(tree_or.status());
   auto& tree = *tree_or;
@@ -170,9 +159,6 @@ void Run(const Flags& flags) {
   storage.wal = static_cast<int>(
       flags.GetU64("wal", static_cast<uint64_t>(-1)));
   storage.wal_sync = flags.GetString("wal_sync", "");
-  storage.wal_group_commit = static_cast<int>(
-      flags.GetU64("wal_group_commit", static_cast<uint64_t>(-1)));
-  storage.shared_wal = flags.GetU64("shared_wal", 0) != 0;
   storage.merge_policy = flags.GetString("merge_policy", "");
   const size_t writers = flags.GetU64("writers", 8);
   const size_t batch = flags.GetU64("batch", 1);
@@ -340,34 +326,29 @@ void Run(const Flags& flags) {
   // `drain_sec`. The accept speedup is the throughput gain a producer sees.
   // Not part of "all" so the paper-figure modes stay single-threaded.
   // Durability-cost matrix: records/sec and fsyncs/record for every WAL
-  // sync mode, with single-record commit vs group commit side by side.
-  // Group commit only changes behavior under every-record sync (that is the
-  // mode with an fsync on the commit path to amortize); the other rows are
-  // shown once. `--writers=` and `--batch=` pick the concurrency and the
-  // WriteBatch size every cell runs with.
+  // sync mode. Every-record sync commits through group commit, so its
+  // fsyncs/record falls as writers pile up behind a leader. `--writers=`
+  // and `--batch=` pick the concurrency and the WriteBatch size every cell
+  // runs with.
   if (mode == "durability") {
     PrintHeader("WAL durability matrix (" + std::to_string(writers) +
                     " writers, batch=" + std::to_string(batch) + ")",
-                {"sync_mode", "commit", "records/s", "fsync/rec", "seconds"});
+                {"sync_mode", "records/s", "fsync/rec", "seconds"});
     struct MatrixRow {
       const char* sync;
       const char* wal_sync;  // empty = WAL off
       int wal;
-      bool group;
-      const char* commit;
     };
     const MatrixRow rows[] = {
-        {"(wal off)", "", 0, false, "-"},
-        {"none", "none", 1, false, "single"},
-        {"flush-only", "flush-only", 1, false, "single"},
-        {"every-record", "every-record", 1, false, "single"},
-        {"every-record", "every-record", 1, true, "group"},
+        {"(wal off)", "", 0},
+        {"none", "none", 1},
+        {"flush-only", "flush-only", 1},
+        {"every-record", "every-record", 1},
     };
     for (const MatrixRow& row : rows) {
       CommitRunResult result = MultiWriterWalIngest(
-          records, writers, batch, payload, row.wal, row.wal_sync, row.group);
+          records, writers, batch, payload, row.wal, row.wal_sync);
       PrintCell(row.sync);
-      PrintCell(row.commit);
       PrintCell(static_cast<double>(records) / result.seconds);
       PrintCell(row.wal > 0 ? static_cast<double>(result.syncs) /
                                   static_cast<double>(result.logged)
@@ -519,37 +500,6 @@ void Run(const Flags& flags) {
       PrintCell(conc_times.total - conc_times.accept);
       PrintCell(sync_times.total / conc_times.accept);
       EndRow();
-    }
-
-    // Group commit vs per-record commit at `writers` concurrent writers.
-    // Only meaningful when an fsync sits on the commit path, so this runs
-    // with every-record sync (overriding --wal_sync= for the comparison if
-    // the WAL was requested with a different mode). The no-WAL row bounds
-    // how much of the raw ingest rate durable commit retains.
-    if (storage.wal > 0) {
-      PrintHeader("group commit vs per-record commit (" +
-                      std::to_string(writers) + " writers, batch=" +
-                      std::to_string(batch) + ", every-record sync)",
-                  {"commit", "records/s", "fsync/rec", "speedup"});
-      CommitRunResult no_wal =
-          MultiWriterWalIngest(records, writers, batch, payload, 0, "", false);
-      CommitRunResult single = MultiWriterWalIngest(
-          records, writers, batch, payload, 1, "every-record", false);
-      CommitRunResult group = MultiWriterWalIngest(
-          records, writers, batch, payload, 1, "every-record", true);
-      auto emit = [&](const char* label, const CommitRunResult& result,
-                      bool wal_on) {
-        PrintCell(label);
-        PrintCell(static_cast<double>(records) / result.seconds);
-        PrintCell(wal_on ? static_cast<double>(result.syncs) /
-                               static_cast<double>(result.logged)
-                         : 0.0);
-        PrintCell(single.seconds / result.seconds);
-        EndRow();
-      };
-      emit("no-wal", no_wal, false);
-      emit("per-record", single, true);
-      emit("group", group, true);
     }
   }
 }

@@ -291,13 +291,13 @@ void BM_WalFrameEncodeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_WalFrameEncodeBatch)->Arg(16)->Arg(256);
 
-// Acked-durable Put at ONE writer, group commit off vs on. With a single
-// writer the group path self-elects without stalling (the group-size hint
-// decays to 1), so these two must cost the same — any gap is leader-elect
-// overhead leaking onto the uncontended path. Prefers tmpfs (/dev/shm) so
-// the fsync is nearly free and the protocol cost isn't buried under device
-// latency; fixed iteration count keeps the memtable from rotating mid-run.
-void BM_WalUncontendedPut(benchmark::State& state, bool group_commit) {
+// Acked-durable Put at ONE writer. A single writer self-elects as commit
+// leader without stalling (the group-size hint decays to 1), so this tracks
+// the leader-elect overhead on the uncontended path. Prefers tmpfs
+// (/dev/shm) so the fsync is nearly free and the protocol cost isn't buried
+// under device latency; fixed iteration count keeps the memtable from
+// rotating mid-run.
+void BM_WalUncontendedPut(benchmark::State& state) {
   std::string tmpl_str =
       (std::filesystem::is_directory("/dev/shm") ? "/dev/shm" : "/tmp") +
       std::string("/lsmstats_micro_XXXXXX");
@@ -309,7 +309,6 @@ void BM_WalUncontendedPut(benchmark::State& state, bool group_commit) {
   options.memtable_max_entries = 1 << 20;
   options.wal = true;
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  options.wal_group_commit = group_commit;
   auto tree = std::move(LsmTree::Open(options)).value();
   std::string value(100, 'x');
   int64_t pk = 0;
@@ -320,10 +319,7 @@ void BM_WalUncontendedPut(benchmark::State& state, bool group_commit) {
   tree.reset();
   std::filesystem::remove_all(dir);
 }
-BENCHMARK_CAPTURE(BM_WalUncontendedPut, SingleCommit, false)
-    ->Iterations(1 << 15);
-BENCHMARK_CAPTURE(BM_WalUncontendedPut, GroupCommit, true)
-    ->Iterations(1 << 15);
+BENCHMARK(BM_WalUncontendedPut)->Iterations(1 << 15);
 
 // --------------------------------------------------- wavelet reconstruct
 

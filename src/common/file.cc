@@ -160,38 +160,6 @@ bool FileExists(const std::string& path) {
   return Env::Default()->FileExists(path);
 }
 
-// ------------------------------------------------------------- Sequential
-
-SequentialFileReader::SequentialFileReader(
-    std::shared_ptr<RandomAccessFile> file, uint64_t offset, uint64_t limit,
-    size_t buffer_size)
-    : file_(std::move(file)),
-      position_(offset),
-      limit_(limit),
-      buffer_cap_(buffer_size) {}
-
-Status SequentialFileReader::Read(size_t n, std::string* out) {
-  out->clear();
-  out->reserve(n);
-  while (n > 0) {
-    if (buffer_pos_ >= buffer_.size()) {
-      if (position_ >= limit_) {
-        return Status::Corruption("sequential read past region end");
-      }
-      size_t chunk = static_cast<size_t>(
-          std::min<uint64_t>(buffer_cap_, limit_ - position_));
-      LSMSTATS_RETURN_IF_ERROR(file_->Read(position_, chunk, &buffer_));
-      position_ += chunk;
-      buffer_pos_ = 0;
-    }
-    size_t take = std::min(n, buffer_.size() - buffer_pos_);
-    out->append(buffer_.data() + buffer_pos_, take);
-    buffer_pos_ += take;
-    n -= take;
-  }
-  return Status::OK();
-}
-
 // ------------------------------------------------------ POSIX primitives
 
 namespace internal {

@@ -2,8 +2,7 @@
 //
 // WritableFile is an append-only buffered writer (components are written once,
 // sequentially, then sealed). RandomAccessFile supports positional reads for
-// point lookups, and SequentialFileReader provides a buffered forward scan for
-// merge cursors and full-component streams.
+// component blocks, footers and WAL segments.
 //
 // Both file types are abstract so an Env (see common/env.h) can substitute
 // implementations — the default is POSIX, tests use FaultInjectionEnv to
@@ -73,29 +72,6 @@ class RandomAccessFile {
 
  protected:
   RandomAccessFile() = default;
-};
-
-// Buffered forward reader over a RandomAccessFile region.
-class SequentialFileReader {
- public:
-  SequentialFileReader(std::shared_ptr<RandomAccessFile> file, uint64_t offset,
-                       uint64_t limit, size_t buffer_size = 1 << 16);
-
-  // Reads exactly `n` bytes; fails with Corruption if the region ends first.
-  [[nodiscard]] Status Read(size_t n, std::string* out);
-
-  // True once every byte of the region has been consumed.
-  bool AtEnd() const {
-    return position_ >= limit_ && buffer_pos_ >= buffer_.size();
-  }
-
- private:
-  std::shared_ptr<RandomAccessFile> file_;
-  uint64_t position_;
-  uint64_t limit_;
-  std::string buffer_;
-  size_t buffer_pos_ = 0;
-  size_t buffer_cap_;
 };
 
 // Filesystem helpers; forward to Env::Default().

@@ -68,10 +68,10 @@ enum class LockRank : int {
   // LsmTree::mu_ — memtable / component-stack state. Acquired under
   // work_mu_ (install steps), never the other way around.
   kTreeState = 90,
-  // WalLog::mu_ — the group-commit write-ahead-log state. Acquired under
-  // LsmTree::mu_ (appends and segment sealing happen inside the tree's
-  // write critical section) and bare from commit waiters and the dataset's
-  // shared-WAL path; performs Env I/O while held.
+  // WalLog::mu_ — the write-ahead-log state. Acquired under LsmTree::mu_
+  // (a standalone tree appends and seals inside its write critical section)
+  // and bare from commit waiters and the dataset's log path; performs Env
+  // I/O while held.
   kWalLog = 85,
   // FaultInjectionEnv::mu_ — filesystem ops run under tree locks (WAL
   // appends under mu_, component builds under work_mu_).

@@ -51,23 +51,15 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
     write_options = resolved;
   }
   dataset->env_ = opts.env != nullptr ? opts.env : Env::Default();
-  const bool wal_enabled =
-      opts.wal.has_value() ? *opts.wal : EnvironmentWalEnabled();
-  dataset->shared_wal_enabled_ = opts.shared_wal && wal_enabled;
   auto apply_storage_options = [&](LsmTreeOptions& tree_opts) {
     tree_opts.write_options = write_options;
     tree_opts.block_cache = opts.block_cache.get();
     tree_opts.min_free_bytes = opts.min_free_bytes;
-    if (dataset->shared_wal_enabled_) {
-      // The dataset's shared log replaces the per-tree logs; the explicit
-      // false overrides any environment forcing (LSMSTATS_WAL=1) so a
-      // logical record is never logged twice.
-      tree_opts.wal = false;
-    } else {
-      tree_opts.wal = opts.wal;
-      tree_opts.wal_sync_mode = opts.wal_sync_mode;
-      tree_opts.wal_group_commit = opts.wal_group_commit;
-    }
+    // The dataset's shared log is the only log; the explicit false overrides
+    // any environment forcing (LSMSTATS_WAL=1) so a logical record is never
+    // logged twice. A tree still replays segments of its own that an older
+    // per-tree-log release left behind, and deletes them once they flush.
+    tree_opts.wal = false;
   };
 
   // Primary index. The dataset coordinates flushes itself so the trees run
@@ -161,11 +153,12 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
     }
   }
 
-  if (dataset->shared_wal_enabled_) {
+  {
     // All trees are open, so recovery can demultiplex surviving shared
     // segments by tree id into the right memtables. Replay is pessimistic
-    // about freshness (fresh_insert is not logged), exactly like per-tree
-    // replay.
+    // about freshness (fresh_insert is not logged), exactly like a
+    // standalone tree's replay. It runs with the WAL off too, so turning the
+    // log off never drops records an earlier run logged.
     Status replay_error;
     auto apply = [&](uint32_t tree_id, WalOp op, const LsmKey& key,
                      std::string_view value) {
@@ -198,23 +191,22 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
     LSMSTATS_RETURN_IF_ERROR(replay_error);
     // The recovered segments back the records just replayed into the
     // memtables; they stay on disk until those records rotate and flush.
-    dataset->shared_wal_recovered_ = std::move(recovery->live_segments);
+    dataset->wal_recovered_ = std::move(recovery->live_segments);
 
-    WalLogOptions log_options;
-    log_options.env = dataset->env_;
-    log_options.directory = opts.directory;
-    log_options.prefix = opts.name + "_wal";
-    log_options.sync_mode = opts.wal_sync_mode.has_value()
-                                ? *opts.wal_sync_mode
-                                : EnvironmentWalSyncMode();
-    log_options.group_commit = opts.wal_group_commit.has_value()
-                                   ? *opts.wal_group_commit
-                                   : EnvironmentWalGroupCommit();
-    log_options.next_sequence = recovery->next_sequence;
-    // Explicit floor only: the env override stays a background-path knob and
-    // never turns shared-WAL segment rotation into a Put-visible error.
-    log_options.min_free_bytes = opts.min_free_bytes.value_or(0);
-    dataset->shared_wal_ = std::make_unique<WalLog>(std::move(log_options));
+    if (opts.wal.has_value() ? *opts.wal : EnvironmentWalEnabled()) {
+      WalLogOptions log_options;
+      log_options.env = dataset->env_;
+      log_options.directory = opts.directory;
+      log_options.prefix = opts.name + "_wal";
+      log_options.sync_mode = opts.wal_sync_mode.has_value()
+                                  ? *opts.wal_sync_mode
+                                  : EnvironmentWalSyncMode();
+      log_options.next_sequence = recovery->next_sequence;
+      // Explicit floor only: the env override stays a background-path knob
+      // and never turns WAL segment rotation into a Put-visible error.
+      log_options.min_free_bytes = opts.min_free_bytes.value_or(0);
+      dataset->wal_ = std::make_unique<WalLog>(std::move(log_options));
+    }
   }
 
   // Global memory budget: when one is configured (option, else env), stand
@@ -319,13 +311,13 @@ LsmTree* Dataset::TreeById(uint32_t tree_id) {
 }
 
 Status Dataset::LogShared(const WriteBatch& batch) {
-  if (shared_wal_ == nullptr || batch.empty()) return Status::OK();
-  auto ticket = shared_wal_->AppendBatch(batch);
+  if (wal_ == nullptr || batch.empty()) return Status::OK();
+  auto ticket = wal_->AppendBatch(batch);
   LSMSTATS_RETURN_IF_ERROR(ticket.status());
   // Durability before apply: if we crash between the two, replay re-applies
   // the batch, and an error here leaves the batch unacknowledged and
   // unapplied.
-  return shared_wal_->WaitDurable(ticket.value());
+  return wal_->WaitDurable(ticket.value());
 }
 
 Status Dataset::ApplyEntry(WriteBatchEntry& entry) {
@@ -348,68 +340,69 @@ Status Dataset::ApplyEntry(WriteBatchEntry& entry) {
 Status Dataset::CommitMutation(WriteBatch batch) {
   LSMSTATS_RETURN_IF_ERROR(CheckWritable());
   LSMSTATS_RETURN_IF_ERROR(LogShared(batch));
-  // Without a shared log each tree logs its own entries inside Put/Delete,
-  // exactly as before the batch plumbing existed: same calls, same order.
   for (WriteBatchEntry& entry : batch.mutable_entries()) {
     LSMSTATS_RETURN_IF_ERROR(ApplyEntry(entry));
   }
   return Status::OK();
 }
 
-Status Dataset::CommitAtomic(WriteBatch batch) {
-  if (batch.empty()) return Status::OK();
-  // Over the shared log the whole cross-tree batch is one frame already.
-  if (shared_wal_enabled_) return CommitMutation(std::move(batch));
-  // Otherwise regroup per tree so each tree commits its slice as one atomic
-  // frame (one fsync under every-record sync) via LsmTree::Write.
-  LSMSTATS_RETURN_IF_ERROR(CheckWritable());
-  const size_t tree_count =
-      1 + secondaries_.size() + composite_trees_.size();
-  std::vector<WriteBatch> per_tree(tree_count);
-  for (WriteBatchEntry& entry : batch.mutable_entries()) {
-    if (entry.tree_id >= tree_count) {
-      return Status::Internal("write batch entry for unknown tree id " +
-                              std::to_string(entry.tree_id));
-    }
-    per_tree[entry.tree_id].mutable_entries().push_back(std::move(entry));
+Status Dataset::SealWal() {
+  std::optional<std::string> sealed;
+  if (wal_ != nullptr) {
+    auto sealed_or = wal_->Seal();
+    LSMSTATS_RETURN_IF_ERROR(sealed_or.status());
+    sealed = std::move(sealed_or).value();
   }
-  for (size_t id = 0; id < tree_count; ++id) {
-    if (per_tree[id].empty()) continue;
-    LSMSTATS_RETURN_IF_ERROR(
-        TreeById(static_cast<uint32_t>(id))->Write(std::move(per_tree[id])));
-  }
-  return Status::OK();
-}
-
-Status Dataset::SealSharedWal() {
-  if (shared_wal_ == nullptr) return Status::OK();
-  auto sealed = shared_wal_->Seal();
-  LSMSTATS_RETURN_IF_ERROR(sealed.status());
   // The records replayed from recovered segments rotate out at this same
   // boundary, so those segments graduate to reclaimable alongside the one
   // just sealed.
-  shared_wal_sealed_.insert(shared_wal_sealed_.end(),
-                            shared_wal_recovered_.begin(),
-                            shared_wal_recovered_.end());
-  shared_wal_recovered_.clear();
-  if (sealed.value().has_value()) {
-    shared_wal_sealed_.push_back(*sealed.value());
-  }
+  wal_sealed_.insert(wal_sealed_.end(), wal_recovered_.begin(),
+                     wal_recovered_.end());
+  wal_recovered_.clear();
+  if (sealed.has_value()) wal_sealed_.push_back(std::move(*sealed));
   return Status::OK();
 }
 
-Status Dataset::ReclaimSharedWal() {
-  if (shared_wal_sealed_.empty()) return Status::OK();
-  Status deleted = DeleteWalSegments(env_, shared_wal_sealed_);
-  // On failure keep the whole list: deletion is idempotent
-  // (RemoveFileIfExists), so the next barrier retries everything.
-  if (deleted.ok()) shared_wal_sealed_.clear();
-  return deleted;
+void Dataset::RecordRotatedWal() {
+  if (wal_sealed_.empty()) return;
+  RotatedSegments group;
+  group.segments = std::move(wal_sealed_);
+  wal_sealed_.clear();
+  const size_t tree_count = 1 + secondaries_.size() + composite_trees_.size();
+  for (size_t id = 0; id < tree_count; ++id) {
+    group.flush_targets.push_back(
+        TreeById(static_cast<uint32_t>(id))->MemTablesRotated());
+  }
+  wal_rotated_.push_back(std::move(group));
+}
+
+Status Dataset::ReclaimRotatedWal() {
+  while (!wal_rotated_.empty()) {
+    RotatedSegments& oldest = wal_rotated_.front();
+    for (size_t id = 0; id < oldest.flush_targets.size(); ++id) {
+      // Groups are oldest first, so a younger one cannot be flushed past
+      // while this one is not.
+      if (TreeById(static_cast<uint32_t>(id))->FlushesCompleted() <
+          oldest.flush_targets[id]) {
+        return Status::OK();
+      }
+    }
+    // On failure keep the group: deletion is idempotent
+    // (RemoveFileIfExists), so the next call retries all of it.
+    LSMSTATS_RETURN_IF_ERROR(DeleteWalSegments(env_, oldest.segments));
+    wal_rotated_.pop_front();
+  }
+  return Status::OK();
 }
 
 Status Dataset::MaybeFlush() {
   if (arbiter_ != nullptr) arbiter_->MaybeTick();
   if (!options_.auto_flush) return Status::OK();
+  // Segments every tree rotated out are reclaimable once every tree has
+  // flushed the memtables of that rotation: every record they back then
+  // sits in a durable component. A tree parked read-only stops flushing, so
+  // its segments are kept.
+  LSMSTATS_RETURN_IF_ERROR(ReclaimRotatedWal());
   // Entry-count trigger always applies; the byte trigger exists only under
   // an arbiter (the per-tree byte grant is meaningless otherwise, since the
   // dataset's trees run auto_flush=false and flush only through here).
@@ -422,8 +415,8 @@ Status Dataset::MaybeFlush() {
   // Scheduler mode: rotate every index and return to the writer; the worker
   // pool flushes all indexes in parallel off the write path. The shared WAL
   // segment is sealed with the memtables it backs; it becomes reclaimable
-  // once the background flushes drain (WaitForBackgroundWork / Flush).
-  LSMSTATS_RETURN_IF_ERROR(SealSharedWal());
+  // once every tree has rotated and the background flushes drain.
+  LSMSTATS_RETURN_IF_ERROR(SealWal());
   LSMSTATS_RETURN_IF_ERROR(primary_->RequestFlush());
   for (auto& secondary : secondaries_) {
     LSMSTATS_RETURN_IF_ERROR(secondary->RequestFlush());
@@ -431,6 +424,9 @@ Status Dataset::MaybeFlush() {
   for (auto& composite : composite_trees_) {
     LSMSTATS_RETURN_IF_ERROR(composite->RequestFlush());
   }
+  // Every tree rotated, so no mutable memtable holds a record of a sealed
+  // segment any more.
+  RecordRotatedWal();
   return Status::OK();
 }
 
@@ -568,7 +564,7 @@ Status Dataset::PutBatch(const std::vector<Record>& records) {
   for (const Record& record : records) {
     AppendInsertEntries(record, &batch);
   }
-  LSMSTATS_RETURN_IF_ERROR(CommitAtomic(std::move(batch)));
+  LSMSTATS_RETURN_IF_ERROR(CommitMutation(std::move(batch)));
   live_records_ += records.size();
   return MaybeFlush();
 }
@@ -592,7 +588,7 @@ Status Dataset::DeleteBatch(const std::vector<int64_t>& pks) {
   for (const Record& old_record : old_records) {
     AppendDeleteEntries(old_record, &batch);
   }
-  LSMSTATS_RETURN_IF_ERROR(CommitAtomic(std::move(batch)));
+  LSMSTATS_RETURN_IF_ERROR(CommitMutation(std::move(batch)));
   live_records_ -= pks.size();
   return MaybeFlush();
 }
@@ -714,7 +710,7 @@ StatusOr<uint64_t> Dataset::CountAll() const {
 Status Dataset::Flush() {
   // Seal the active shared segment before any tree rotates so the segment
   // backs exactly the memtable contents this barrier will flush.
-  LSMSTATS_RETURN_IF_ERROR(SealSharedWal());
+  LSMSTATS_RETURN_IF_ERROR(SealWal());
   if (options_.scheduler != nullptr) {
     // Kick every index's rotation first so the flushes overlap on the
     // worker pool; the drains below then mostly wait instead of working.
@@ -733,9 +729,10 @@ Status Dataset::Flush() {
   for (auto& composite : composite_trees_) {
     LSMSTATS_RETURN_IF_ERROR(composite->Flush());
   }
-  // Every tree has now flushed everything the sealed segments back, so they
-  // are reclaimable — the all-trees-flushed rule for a shared log.
-  return ReclaimSharedWal();
+  // Every tree has now flushed everything the sealed segments back, so the
+  // group recorded here is reclaimed at once.
+  RecordRotatedWal();
+  return ReclaimRotatedWal();
 }
 
 Status Dataset::WaitForBackgroundWork() {
@@ -746,10 +743,9 @@ Status Dataset::WaitForBackgroundWork() {
   for (auto& composite : composite_trees_) {
     LSMSTATS_RETURN_IF_ERROR(composite->WaitForBackgroundWork());
   }
-  // Segments are sealed only when every tree rotates (MaybeFlush / Flush),
-  // so with the background queues drained all their records sit in sealed
-  // components.
-  return ReclaimSharedWal();
+  // With the background queues drained, every tree has flushed every
+  // rotation it made, unless a flush failed and parked the tree.
+  return ReclaimRotatedWal();
 }
 
 Status Dataset::CheckWritable() const {
@@ -801,27 +797,11 @@ Status Dataset::Resume() {
 }
 
 uint64_t Dataset::WalSyncCount() const {
-  if (shared_wal_ != nullptr) return shared_wal_->sync_count();
-  uint64_t total = primary_->WalSyncCount();
-  for (const auto& secondary : secondaries_) {
-    total += secondary->WalSyncCount();
-  }
-  for (const auto& composite : composite_trees_) {
-    total += composite->WalSyncCount();
-  }
-  return total;
+  return wal_ != nullptr ? wal_->sync_count() : 0;
 }
 
 uint64_t Dataset::WalRecordsLogged() const {
-  if (shared_wal_ != nullptr) return shared_wal_->records_appended();
-  uint64_t total = primary_->WalRecordsLogged();
-  for (const auto& secondary : secondaries_) {
-    total += secondary->WalRecordsLogged();
-  }
-  for (const auto& composite : composite_trees_) {
-    total += composite->WalRecordsLogged();
-  }
-  return total;
+  return wal_ != nullptr ? wal_->records_appended() : 0;
 }
 
 Status Dataset::ForceFullMerge() {

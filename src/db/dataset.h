@@ -22,6 +22,7 @@
 #define LSMSTATS_DB_DATASET_H_
 
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -93,16 +94,18 @@ struct DatasetOptions {
   // Externally owned cache (e.g. shared across datasets); takes precedence
   // over block_cache_mb.
   std::shared_ptr<BlockCache> block_cache;
-  // Write-ahead-log policy shared by the primary, secondary, and composite
-  // trees (an index tree that lost its memtable while the primary kept its
-  // records would desynchronize the dataset, so the policy is per-dataset).
-  // Unset defers to LSMSTATS_WAL / LSMSTATS_WAL_SYNC /
-  // LSMSTATS_WAL_GROUP_COMMIT; see LsmTreeOptions.
+  // Write-ahead log. When on, one log stream (`<name>_wal_<seq>.wal`) owned
+  // by the dataset serves the primary, secondary, and composite trees: a
+  // logical modification spanning every index is logged — and under
+  // every-record sync, fsynced — exactly once, as one atomic batch frame
+  // whose entries carry tree ids. Recovery demultiplexes by tree id; a sealed
+  // segment is reclaimed only after ALL trees have flushed past it. The index
+  // trees themselves never log. Unset defers to LSMSTATS_WAL /
+  // LSMSTATS_WAL_SYNC; see LsmTreeOptions.
   std::optional<bool> wal;
   std::optional<WalSyncMode> wal_sync_mode;
-  std::optional<bool> wal_group_commit;
   // Free-space watchdog floor applied to every index tree (flush/merge
-  // refuse to start below it) and to shared-WAL segment creation; see
+  // refuse to start below it) and to WAL segment creation; see
   // LsmTreeOptions::min_free_bytes. Unset defers to LSMSTATS_MIN_FREE_BYTES
   // for the trees and disables the WAL probe.
   std::optional<uint64_t> min_free_bytes;
@@ -112,15 +115,6 @@ struct DatasetOptions {
   // LSMSTATS_TOTAL_MEMORY_MB; when that is also unset no arbiter is
   // constructed and every knob keeps its static value bit-identically.
   uint64_t total_memory_mb = 0;
-  // One shared log stream (`<name>_wal_<seq>.wal`) owned by the dataset
-  // serves every index tree instead of one log per tree: a logical
-  // modification spanning the primary, secondary, and composite indexes is
-  // logged — and under every-record sync, fsynced — exactly once, as one
-  // atomic batch frame whose entries carry tree ids. Recovery demultiplexes
-  // by tree id; a sealed segment is reclaimed only after ALL trees backed by
-  // it have flushed. Takes effect only when the WAL is enabled (per `wal` or
-  // LSMSTATS_WAL); off by default, leaving per-tree logs byte-identical.
-  bool shared_wal = false;
 };
 
 // Aggregate health of a dataset's index trees (Dataset::Health()).
@@ -158,14 +152,13 @@ class Dataset {
 
   // Inserts every record as one atomic unit: all constraints are validated
   // up front (schema match, no existing pk, no duplicate pk within the
-  // batch), then the whole batch is committed as one WAL frame per index
-  // tree — one frame total over a shared per-dataset WAL — so recovery
+  // batch), then the whole batch is committed as one WAL frame, so recovery
   // replays it all-or-nothing and every-record sync pays one fsync for the
   // lot. Nothing is applied if validation fails.
   [[nodiscard]] Status PutBatch(const std::vector<Record>& records);
 
   // Deletes every pk as one atomic unit, with the same up-front validation
-  // (pk exists, no duplicates) and the same one-frame-per-tree commit.
+  // (pk exists, no duplicates) and the same one-frame commit.
   [[nodiscard]] Status DeleteBatch(const std::vector<int64_t>& pks);
 
   // Bulkloads `records` (sorted by pk, duplicate-free) into empty indexes:
@@ -251,10 +244,8 @@ class Dataset {
 
   uint64_t live_records() const { return live_records_; }
 
-  // Data fsyncs issued / logical records logged by this dataset's WAL
-  // configuration: the shared log's counters when one is active, otherwise
-  // the sum over the per-tree logs (0 when the WAL is off). Benchmarks
-  // report fsyncs/record from these.
+  // Data fsyncs issued / logical records logged by this dataset's WAL (0
+  // when the WAL is off). Benchmarks report fsyncs/record from these.
   uint64_t WalSyncCount() const;
   uint64_t WalRecordsLogged() const;
 
@@ -268,8 +259,8 @@ class Dataset {
   LsmTree* TreeById(uint32_t tree_id);
 
   // Logs `batch` to the shared WAL as one atomic frame and blocks until it
-  // is durable per the sync mode (group commit defers the ack to the
-  // leader's fsync). No-op when no shared log is active or the batch is
+  // is durable per the sync mode (every-record sync defers the ack to a
+  // commit leader's fsync). No-op when the WAL is off or the batch is
   // empty. Called BEFORE the entries are applied, so replay covers the
   // crash window between durability and apply.
   [[nodiscard]] Status LogShared(const WriteBatch& batch);
@@ -291,25 +282,27 @@ class Dataset {
   // per-entry; the gate removes the common already-degraded case.)
   [[nodiscard]] Status CheckWritable() const;
 
-  // Logs (shared mode) then applies a single logical modification's entries
-  // in batch order — the one write path behind Insert/Update/Delete.
+  // Logs then applies one modification's entries in batch order — the one
+  // write path behind Insert/Update/Delete and the atomic batches.
   [[nodiscard]] Status CommitMutation(WriteBatch batch);
-
-  // Commits a multi-record batch atomically: one shared frame when the
-  // shared WAL is active, otherwise one LsmTree::Write per tree (one atomic
-  // frame each).
-  [[nodiscard]] Status CommitAtomic(WriteBatch batch);
 
   // Seals the shared WAL's active segment at a rotation point; the sealed
   // segment (plus any segments recovered at Open, whose replayed records
-  // rotate out with this same boundary) joins shared_wal_sealed_.
-  [[nodiscard]] Status SealSharedWal();
+  // rotate out with this same boundary) joins wal_sealed_.
+  [[nodiscard]] Status SealWal();
 
-  // Deletes every sealed shared segment. Callers are synchronous barriers
-  // that guarantee ALL trees have flushed past the sealed segments — the
-  // reclamation rule that makes one log safe for many trees. On failure the
-  // list is kept and the next barrier retries (deletion is idempotent).
-  [[nodiscard]] Status ReclaimSharedWal();
+  // Moves wal_sealed_ into a new wal_rotated_ group stamped with every
+  // tree's MemTablesRotated() count. Called only once every tree has
+  // rotated, so no mutable memtable holds a record of those segments.
+  // Rotations happen only on the writer's thread, so the counts read here
+  // are exactly that rotation's.
+  void RecordRotatedWal();
+
+  // Deletes rotated segment groups oldest first, each once every tree's
+  // FlushesCompleted() reaches its count — the all-trees-flushed rule that
+  // makes one log safe for many trees. On failure the group is kept and a
+  // later call retries (deletion is idempotent).
+  [[nodiscard]] Status ReclaimRotatedWal();
 
   DatasetOptions options_;
   Env* env_ = nullptr;  // options_.env or Env::Default(); never null
@@ -327,19 +320,31 @@ class Dataset {
   std::unique_ptr<UnsortedFieldCollector> unsorted_collector_;
   uint64_t live_records_ = 0;
 
-  // Shared per-dataset WAL (null unless DatasetOptions::shared_wal with the
-  // WAL enabled). The dataset is externally synchronized, so these need no
-  // lock of their own; WalLog is internally synchronized for its
-  // group-commit waiters.
-  bool shared_wal_enabled_ = false;
-  std::unique_ptr<WalLog> shared_wal_;
+  // The dataset's WAL, shared by every index tree (null when the WAL is
+  // off). The dataset is externally synchronized, so these need no lock of
+  // their own; WalLog is internally synchronized for its commit waiters.
+  std::unique_ptr<WalLog> wal_;
   // Segments recovered at Open: they back replayed records now sitting in
   // the mutable memtables, so they become reclaimable only at the next
-  // rotation boundary (SealSharedWal moves them into shared_wal_sealed_).
-  std::vector<std::string> shared_wal_recovered_;
-  // Sealed segments awaiting reclamation at the next all-trees-flushed
-  // barrier.
-  std::vector<std::string> shared_wal_sealed_;
+  // rotation boundary (SealWal moves them into wal_sealed_).
+  // Recovery runs with the WAL off too, so turning the log off never drops
+  // records an earlier run logged.
+  std::vector<std::string> wal_recovered_;
+  // Sealed segments whose records some tree may still hold in its mutable
+  // memtable. The next rotation every tree completes (MaybeFlush or Flush)
+  // moves them into a wal_rotated_ group; they are never deleted from here.
+  std::vector<std::string> wal_sealed_;
+  // Sealed segments every tree has rotated out of its mutable memtable,
+  // oldest first, each group with the per-tree MemTablesRotated() count
+  // (tree-id order) its rotation reached. ReclaimRotatedWal deletes a group
+  // once every tree's FlushesCompleted() reaches its count; MaybeFlush calls
+  // it on every write, so a dataset that only ingests keeps a bounded
+  // number of segments.
+  struct RotatedSegments {
+    std::vector<std::string> segments;
+    std::vector<uint64_t> flush_targets;
+  };
+  std::deque<RotatedSegments> wal_rotated_;
 
   // Synopsis element budget granted by the arbiter (0 = no grant yet / no
   // arbiter). Atomic: written from rebalance (possibly a scheduler worker),

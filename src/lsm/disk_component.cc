@@ -11,105 +11,15 @@ namespace lsmstats {
 
 namespace {
 
+// Footer magic of the retired v2 flat format. Open recognizes it only to
+// reject it with a message that names the format.
 constexpr uint64_t kComponentMagicV2 = 0x4c534d5354415453ULL;  // "LSMSTATS"
 constexpr uint64_t kComponentMagicV3 = 0x4c534d5354415433ULL;  // "LSMSTAT3"
 // data_end, bloom_offset, checksum_offset, record_count, anti_matter_count,
 // min/max key (6 x i64), footer CRC (u32), magic (u64).
 constexpr size_t kFooterSize = 11 * 8 + 4 + 8;
-// v2: granularity of the data-region checksums. Small components get a single
-// (partial) chunk; large ones verify only the chunks a read touches.
-constexpr uint64_t kChecksumChunkSize = 4096;
 
-uint64_t DataChunkCount(uint64_t data_end) {
-  return (data_end + kChecksumChunkSize - 1) / kChecksumChunkSize;
-}
-
-// v2: checksum-verifying read view over the entry region of a component
-// file. Reads are widened to whole checksum chunks, each chunk's CRC32C is
-// checked against the table loaded at Open, and only then is the requested
-// span returned — a flipped bit in any data chunk surfaces as Corruption at
-// read time, never as data. (v3 components carry a CRC per block instead;
-// see lsm/format/block.h.)
-class ChecksummedDataFile : public RandomAccessFile {
- public:
-  ChecksummedDataFile(std::shared_ptr<RandomAccessFile> base,
-                      uint64_t data_end, std::vector<uint32_t> chunk_crcs,
-                      std::string path)
-      : base_(std::move(base)),
-        data_end_(data_end),
-        chunk_crcs_(std::move(chunk_crcs)),
-        path_(std::move(path)) {}
-
-  Status Read(uint64_t offset, size_t n, std::string* out) const override {
-    if (offset > data_end_ || n > data_end_ - offset) {
-      return Status::Corruption("read past end of data region: " + path_);
-    }
-    uint64_t first_chunk = offset / kChecksumChunkSize;
-    uint64_t last_chunk = (offset + n + kChecksumChunkSize - 1)
-                          / kChecksumChunkSize;
-    uint64_t aligned_begin = first_chunk * kChecksumChunkSize;
-    uint64_t aligned_end =
-        std::min<uint64_t>(last_chunk * kChecksumChunkSize, data_end_);
-    std::string chunk_bytes;
-    LSMSTATS_RETURN_IF_ERROR(base_->Read(
-        aligned_begin, static_cast<size_t>(aligned_end - aligned_begin),
-        &chunk_bytes));
-    for (uint64_t chunk = first_chunk;
-         chunk * kChecksumChunkSize < aligned_end; ++chunk) {
-      uint64_t begin = chunk * kChecksumChunkSize - aligned_begin;
-      uint64_t end = std::min<uint64_t>(begin + kChecksumChunkSize,
-                                        chunk_bytes.size());
-      uint32_t crc = crc32c::Value(
-          std::string_view(chunk_bytes.data() + begin,
-                           static_cast<size_t>(end - begin)));
-      if (crc != chunk_crcs_[static_cast<size_t>(chunk)]) {
-        return Status::Corruption("data chunk " + std::to_string(chunk) +
-                                  " checksum mismatch: " + path_);
-      }
-    }
-    out->assign(chunk_bytes, static_cast<size_t>(offset - aligned_begin), n);
-    return Status::OK();
-  }
-
-  uint64_t size() const override { return data_end_; }
-
- private:
-  std::shared_ptr<RandomAccessFile> base_;
-  uint64_t data_end_;
-  std::vector<uint32_t> chunk_crcs_;
-  std::string path_;
-};
-
-// v2 cursor: streams the flat entry region through the checksummed view.
-class FlatComponentCursor : public EntryCursor {
- public:
-  FlatComponentCursor(std::shared_ptr<RandomAccessFile> file, uint64_t offset,
-                      uint64_t data_end)
-      : reader_(std::move(file), offset, data_end) {
-    Next();
-  }
-
-  bool Valid() const override { return valid_; }
-  const Entry& entry() const override { return entry_; }
-  [[nodiscard]] Status status() const override { return status_; }
-
-  void Next() override {
-    if (reader_.AtEnd()) {
-      valid_ = false;
-      return;
-    }
-    status_ = DecodeEntry(&reader_, &entry_);
-    valid_ = status_.ok();
-  }
-
- private:
-  SequentialFileReader reader_;
-  Entry entry_;
-  bool valid_ = false;
-  Status status_;
-};
-
-// v3 cursor: walks the block sequence, decoding entries out of cached (or
+// Cursor: walks the block sequence, decoding entries out of cached (or
 // freshly read) raw blocks. Holds a shared reference to the component so a
 // snapshot scan stays valid after the tree replaces the component.
 class BlockComponentCursor : public EntryCursor {
@@ -173,32 +83,6 @@ void EncodeEntry(const Entry& entry, Encoder* enc) {
   enc->PutString(entry.value);
 }
 
-Status DecodeEntry(SequentialFileReader* reader, Entry* out) {
-  // Fixed prefix: k0, k1, k2, flags.
-  std::string head;
-  LSMSTATS_RETURN_IF_ERROR(reader->Read(8 + 8 + 8 + 1, &head));
-  Decoder dec(head);
-  LSMSTATS_RETURN_IF_ERROR(dec.GetI64(&out->key.k0));
-  LSMSTATS_RETURN_IF_ERROR(dec.GetI64(&out->key.k1));
-  LSMSTATS_RETURN_IF_ERROR(dec.GetI64(&out->key.k2));
-  uint8_t flags;
-  LSMSTATS_RETURN_IF_ERROR(dec.GetU8(&flags));
-  out->anti_matter = (flags & 1) != 0;
-  // Varint length, then payload.
-  uint64_t len = 0;
-  int shift = 0;
-  for (;;) {
-    std::string byte;
-    LSMSTATS_RETURN_IF_ERROR(reader->Read(1, &byte));
-    uint8_t b = static_cast<uint8_t>(byte[0]);
-    len |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-    if (shift > 63) return Status::Corruption("entry length varint too long");
-  }
-  return reader->Read(static_cast<size_t>(len), &out->value);
-}
-
 Status DecodeEntry(Decoder* dec, Entry* out) {
   LSMSTATS_RETURN_IF_ERROR(dec->GetI64(&out->key.k0));
   LSMSTATS_RETURN_IF_ERROR(dec->GetI64(&out->key.k1));
@@ -221,44 +105,19 @@ DiskComponentBuilder::DiskComponentBuilder(
       read_options_(read_options),
       bloom_(std::max<uint64_t>(expected_entries, kMinBloomEntries),
              write_options_.bloom_bits_per_key) {
-  if (write_options_.format_version != 2 &&
-      write_options_.format_version != 3) {
-    open_status_ = Status::InvalidArgument(
-        "unsupported component format version " +
-        std::to_string(write_options_.format_version));
+  const CompressionCodec* codec = CodecByName(write_options_.compression);
+  if (codec == nullptr) {
+    open_status_ = Status::InvalidArgument("unknown compression codec: " +
+                                           write_options_.compression);
     return;
   }
-  if (write_options_.format_version == 3) {
-    const CompressionCodec* codec = CodecByName(write_options_.compression);
-    if (codec == nullptr) {
-      open_status_ = Status::InvalidArgument("unknown compression codec: " +
-                                             write_options_.compression);
-      return;
-    }
-    block_.emplace(codec, write_options_.block_size);
-  }
+  block_.emplace(codec, write_options_.block_size);
   auto file_or = env_->NewWritableFile(tmp_path_);
   if (!file_or.ok()) {
     open_status_ = file_or.status();
     return;
   }
   file_ = std::move(file_or).value();
-}
-
-void DiskComponentBuilder::ExtendDataChecksums(std::string_view data) {
-  while (!data.empty()) {
-    uint64_t room = kChecksumChunkSize - chunk_bytes_;
-    size_t take = static_cast<size_t>(
-        std::min<uint64_t>(room, data.size()));
-    chunk_crc_ = crc32c::Extend(chunk_crc_, data.data(), take);
-    chunk_bytes_ += take;
-    if (chunk_bytes_ == kChecksumChunkSize) {
-      data_crcs_.push_back(chunk_crc_);
-      chunk_crc_ = 0;
-      chunk_bytes_ = 0;
-    }
-    data.remove_prefix(take);
-  }
 }
 
 Status DiskComponentBuilder::SealBlock() {
@@ -281,18 +140,10 @@ Status DiskComponentBuilder::Add(const Entry& entry) {
   bloom_.Add(entry.key);
   Encoder enc;
   EncodeEntry(entry, &enc);
-  if (write_options_.format_version == 2) {
-    if (record_count_ % kIndexInterval == 0) {
-      sparse_index_.emplace_back(entry.key, file_->size());
-    }
-    ExtendDataChecksums(enc.buffer());
-    LSMSTATS_RETURN_IF_ERROR(file_->Append(enc.buffer()));
-  } else {
-    if (block_->empty()) pending_first_key_ = entry.key;
-    block_->Add(enc.buffer());
-    if (block_->Full()) {
-      LSMSTATS_RETURN_IF_ERROR(SealBlock());
-    }
+  if (block_->empty()) pending_first_key_ = entry.key;
+  block_->Add(enc.buffer());
+  if (block_->Full()) {
+    LSMSTATS_RETURN_IF_ERROR(SealBlock());
   }
   ++record_count_;
   if (entry.anti_matter) ++anti_matter_count_;
@@ -313,17 +164,9 @@ StatusOr<std::shared_ptr<DiskComponent>> DiskComponentBuilder::Finish(
     return s;
   };
 
-  Status s = Status::OK();
-  if (write_options_.format_version == 3) {
-    s = SealBlock();  // flush the final partial block
-    if (!s.ok()) return fail(std::move(s));
-  }
+  Status s = SealBlock();  // flush the final partial block
+  if (!s.ok()) return fail(std::move(s));
   uint64_t data_end = file_->size();
-  if (write_options_.format_version == 2 && chunk_bytes_ > 0) {
-    data_crcs_.push_back(chunk_crc_);  // final partial chunk
-    chunk_crc_ = 0;
-    chunk_bytes_ = 0;
-  }
 
   Encoder index_enc;
   index_enc.PutVarint64(sparse_index_.size());
@@ -346,15 +189,9 @@ StatusOr<std::shared_ptr<DiskComponent>> DiskComponentBuilder::Finish(
   Encoder checksum_enc;
   checksum_enc.PutU32(crc32c::Value(index_enc.buffer()));
   checksum_enc.PutU32(crc32c::Value(bloom_enc.buffer()));
-  if (write_options_.format_version == 2) {
-    checksum_enc.PutVarint64(kChecksumChunkSize);
-    checksum_enc.PutVarint64(data_crcs_.size());
-    for (uint32_t crc : data_crcs_) checksum_enc.PutU32(crc);
-  } else {
-    // v3 data integrity lives inside each block; the checksum block only
-    // pins the block count so a truncated index cannot silently drop blocks.
-    checksum_enc.PutVarint64(sparse_index_.size());
-  }
+  // Data integrity lives inside each block; the checksum block only pins
+  // the block count so a truncated index cannot silently drop blocks.
+  checksum_enc.PutVarint64(sparse_index_.size());
   s = file_->Append(checksum_enc.buffer());
   if (!s.ok()) return fail(std::move(s));
 
@@ -371,8 +208,7 @@ StatusOr<std::shared_ptr<DiskComponent>> DiskComponentBuilder::Finish(
   footer.PutI64(max_key_.k1);
   footer.PutI64(max_key_.k2);
   footer.PutU32(crc32c::Value(footer.buffer()));
-  footer.PutU64(write_options_.format_version == 2 ? kComponentMagicV2
-                                                   : kComponentMagicV3);
+  footer.PutU64(kComponentMagicV3);
   LSMSTATS_CHECK(footer.size() == kFooterSize);
   s = file_->Append(footer.buffer());
   if (!s.ok()) return fail(std::move(s));
@@ -448,10 +284,11 @@ StatusOr<std::shared_ptr<DiskComponent>> DiskComponent::Open(
   uint64_t magic;
   LSMSTATS_RETURN_IF_ERROR(footer.GetU64(&magic));
   if (magic == kComponentMagicV2) {
-    component->format_version_ = 2;
-  } else if (magic == kComponentMagicV3) {
-    component->format_version_ = 3;
-  } else {
+    return Status::Unimplemented(
+        "component is in the retired v2 flat format, which this release no "
+        "longer reads: " + path);
+  }
+  if (magic != kComponentMagicV3) {
     return Status::Corruption("bad component magic: " + path);
   }
   uint32_t expected_footer_crc = crc32c::Value(
@@ -481,24 +318,8 @@ StatusOr<std::shared_ptr<DiskComponent>> DiskComponent::Open(
   uint32_t bloom_crc;
   LSMSTATS_RETURN_IF_ERROR(checksum_dec.GetU32(&index_crc));
   LSMSTATS_RETURN_IF_ERROR(checksum_dec.GetU32(&bloom_crc));
-  std::vector<uint32_t> chunk_crcs;
   uint64_t block_count = 0;
-  if (component->format_version_ == 2) {
-    uint64_t chunk_size;
-    uint64_t chunk_count;
-    LSMSTATS_RETURN_IF_ERROR(checksum_dec.GetVarint64(&chunk_size));
-    LSMSTATS_RETURN_IF_ERROR(checksum_dec.GetVarint64(&chunk_count));
-    if (chunk_size != kChecksumChunkSize ||
-        chunk_count != DataChunkCount(component->data_end_)) {
-      return Status::Corruption("component checksum block malformed: " + path);
-    }
-    chunk_crcs.resize(static_cast<size_t>(chunk_count));
-    for (uint32_t& crc : chunk_crcs) {
-      LSMSTATS_RETURN_IF_ERROR(checksum_dec.GetU32(&crc));
-    }
-  } else {
-    LSMSTATS_RETURN_IF_ERROR(checksum_dec.GetVarint64(&block_count));
-  }
+  LSMSTATS_RETURN_IF_ERROR(checksum_dec.GetVarint64(&block_count));
 
   // Sparse index.
   std::string index_bytes;
@@ -521,23 +342,20 @@ StatusOr<std::shared_ptr<DiskComponent>> DiskComponent::Open(
     LSMSTATS_RETURN_IF_ERROR(index_dec.GetU64(&offset));
     component->sparse_index_.emplace_back(key, offset);
   }
-  if (component->format_version_ == 3) {
-    if (component->sparse_index_.size() != block_count) {
-      return Status::Corruption("component block count mismatch: " + path);
+  if (component->sparse_index_.size() != block_count) {
+    return Status::Corruption("component block count mismatch: " + path);
+  }
+  for (size_t i = 0; i < component->sparse_index_.size(); ++i) {
+    uint64_t offset = component->sparse_index_[i].second;
+    if ((i == 0 && offset != 0) ||
+        (i > 0 && offset <= component->sparse_index_[i - 1].second) ||
+        offset >= component->data_end_) {
+      return Status::Corruption("component block offsets malformed: " + path);
     }
-    for (size_t i = 0; i < component->sparse_index_.size(); ++i) {
-      uint64_t offset = component->sparse_index_[i].second;
-      if ((i == 0 && offset != 0) ||
-          (i > 0 && offset <= component->sparse_index_[i - 1].second) ||
-          offset >= component->data_end_) {
-        return Status::Corruption("component block offsets malformed: " +
-                                  path);
-      }
-    }
-    if (component->sparse_index_.empty() && component->data_end_ != 0) {
-      return Status::Corruption("component data region without blocks: " +
-                                path);
-    }
+  }
+  if (component->sparse_index_.empty() && component->data_end_ != 0) {
+    return Status::Corruption("component data region without blocks: " +
+                              path);
   }
 
   // Bloom filter.
@@ -552,20 +370,14 @@ StatusOr<std::shared_ptr<DiskComponent>> DiskComponent::Open(
   LSMSTATS_RETURN_IF_ERROR(bloom_or.status());
   component->bloom_ = std::move(bloom_or).value();
 
-  if (component->format_version_ == 2) {
-    component->data_file_ = std::make_shared<ChecksummedDataFile>(
-        file, component->data_end_, std::move(chunk_crcs), path);
-  } else {
-    component->block_cache_ = read_options.block_cache;
-    component->cache_file_id_ = NewBlockCacheFileId();
-  }
+  component->block_cache_ = read_options.block_cache;
+  component->cache_file_id_ = NewBlockCacheFileId();
 
   return component;
 }
 
 StatusOr<BlockCache::BlockHandle> DiskComponent::ReadBlock(
     size_t block_index, bool fill_cache) const {
-  LSMSTATS_CHECK(format_version_ == 3);
   LSMSTATS_CHECK(block_index < sparse_index_.size());
   uint64_t begin = sparse_index_[block_index].second;
   uint64_t end = block_index + 1 < sparse_index_.size()
@@ -590,35 +402,12 @@ StatusOr<BlockCache::BlockHandle> DiskComponent::ReadBlock(
 }
 
 Status DiskComponent::VerifyBlockChecksums() const {
-  if (format_version_ == 2) {
-    // Reading the whole data region through the checksummed view verifies
-    // every chunk CRC.
-    std::string scratch;
-    uint64_t offset = 0;
-    while (offset < data_end_) {
-      size_t n = static_cast<size_t>(
-          std::min<uint64_t>(kChecksumChunkSize, data_end_ - offset));
-      LSMSTATS_RETURN_IF_ERROR(data_file_->Read(offset, n, &scratch));
-      offset += n;
-    }
-    return Status::OK();
-  }
-  // v3: decode every block from disk; the cache is bypassed so the scan
+  // Decode every block from disk; the cache is bypassed so the scan
   // checks the actual bytes and does not evict the working set.
   for (size_t i = 0; i < sparse_index_.size(); ++i) {
     LSMSTATS_RETURN_IF_ERROR(ReadBlock(i, /*fill_cache=*/false).status());
   }
   return Status::OK();
-}
-
-uint64_t DiskComponent::SeekOffset(const LsmKey& key) const {
-  if (sparse_index_.empty()) return 0;
-  // Last index entry with key <= target.
-  auto it = std::upper_bound(
-      sparse_index_.begin(), sparse_index_.end(), key,
-      [](const LsmKey& k, const auto& e) { return k < e.first; });
-  if (it == sparse_index_.begin()) return 0;
-  return std::prev(it)->second;
 }
 
 size_t DiskComponent::SeekBlockIndex(const LsmKey& key) const {
@@ -633,19 +422,6 @@ size_t DiskComponent::SeekBlockIndex(const LsmKey& key) const {
 Status DiskComponent::Get(const LsmKey& key, Entry* out) const {
   if (metadata_.record_count == 0 || key < metadata_.min_key ||
       metadata_.max_key < key || !bloom_.MayContain(key)) {
-    return Status::NotFound("key not in component");
-  }
-  if (format_version_ == 2) {
-    SequentialFileReader reader(data_file_, SeekOffset(key), data_end_);
-    while (!reader.AtEnd()) {
-      Entry entry;
-      LSMSTATS_RETURN_IF_ERROR(DecodeEntry(&reader, &entry));
-      if (entry.key == key) {
-        *out = std::move(entry);
-        return Status::OK();
-      }
-      if (key < entry.key) break;
-    }
     return Status::NotFound("key not in component");
   }
   if (sparse_index_.empty()) {
@@ -668,22 +444,13 @@ Status DiskComponent::Get(const LsmKey& key, Entry* out) const {
 }
 
 std::unique_ptr<EntryCursor> DiskComponent::NewCursor() const {
-  if (format_version_ == 2) {
-    return std::make_unique<FlatComponentCursor>(data_file_, 0, data_end_);
-  }
   return std::make_unique<BlockComponentCursor>(shared_from_this(), 0);
 }
 
 std::unique_ptr<EntryCursor> DiskComponent::NewCursorAt(
     const LsmKey& start) const {
-  std::unique_ptr<EntryCursor> cursor;
-  if (format_version_ == 2) {
-    cursor = std::make_unique<FlatComponentCursor>(
-        data_file_, SeekOffset(start), data_end_);
-  } else {
-    cursor = std::make_unique<BlockComponentCursor>(shared_from_this(),
-                                                    SeekBlockIndex(start));
-  }
+  std::unique_ptr<EntryCursor> cursor = std::make_unique<BlockComponentCursor>(
+      shared_from_this(), SeekBlockIndex(start));
   while (cursor->Valid() && cursor->entry().key < start) {
     cursor->Next();
   }

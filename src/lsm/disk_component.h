@@ -1,8 +1,8 @@
 // Immutable, file-backed LSM disk component.
 //
 // A component is a sorted run produced by exactly one LSM lifecycle event
-// (flush, merge, or bulkload) and never modified afterwards. The current
-// format (v3) is block-based:
+// (flush, merge, or bulkload) and never modified afterwards. The format (v3)
+// is block-based:
 //
 //   [data blocks]  [sparse index]  [bloom filter]  [checksum block]  [footer]
 //
@@ -15,14 +15,12 @@
 // blocks are served through an optional shared BlockCache
 // (lsm/format/block_cache.h) keyed by a process-unique per-component id.
 //
-// v2 files — flat entry region, one index entry every kIndexInterval
-// entries, per-4KiB-chunk CRCs verified by a checksumming read wrapper —
-// remain fully readable and (via ComponentWriteOptions::format_version)
-// writable; the footer magic selects the format at Open.
+// v3 is the only format. Open rejects a file carrying the retired v2 flat
+// format's footer magic with a status that names it.
 //
 // The Bloom filter lets lookups skip components that cannot contain the key.
 // The checksum block stores CRC32C sums for the index and bloom sections
-// plus the per-block/per-chunk data sums, so bit rot is caught at read time
+// plus the data block count, so bit rot is caught at read time
 // and at recovery (VerifyBlockChecksums scans everything). The footer
 // records the component metadata the statistics framework and the merge
 // policies consume — record/anti-matter counts and the key range — and
@@ -75,7 +73,7 @@ struct ComponentMetadata {
 
 // Reader-side knobs, threaded from the owning tree into Open.
 struct DiskComponentReadOptions {
-  // Shared cache for decoded data blocks (v3 components only). Not owned;
+  // Shared cache for decoded data blocks. Not owned;
   // null reads straight from the file on every access.
   BlockCache* block_cache = nullptr;
 };
@@ -91,7 +89,7 @@ class DiskComponentBuilder {
   // `path + ".tmp"` until Finish() seals them into place.
   // `expected_entries` only sizes the Bloom filter; it may be an estimate
   // (zero falls back to a minimum-size filter rather than a degenerate one).
-  // `write_options` picks the format version, codec, and block size;
+  // `write_options` picks the codec, block size and bloom density;
   // `read_options` is forwarded to the Open that Finish() returns.
   DiskComponentBuilder(
       Env* env, std::string path, uint64_t expected_entries,
@@ -124,14 +122,7 @@ class DiskComponentBuilder {
   static constexpr uint64_t kMinBloomEntries = 64;
 
  private:
-  // v2: one sparse-index entry every this many entries.
-  static constexpr uint64_t kIndexInterval = 64;
-
-  // Feeds appended data bytes into the running per-chunk CRC accumulator
-  // (v2 format only).
-  void ExtendDataChecksums(std::string_view data);
-
-  // Writes the pending v3 block (if any) and records its index entry.
+  // Writes the pending block (if any) and records its index entry.
   [[nodiscard]] Status SealBlock();
 
   Env* env_;
@@ -143,13 +134,9 @@ class DiskComponentBuilder {
   Status open_status_;
   BloomFilter bloom_;
   std::vector<std::pair<LsmKey, uint64_t>> sparse_index_;
-  // v3: accumulates raw entry bytes for the open block.
+  // Accumulates raw entry bytes for the open block.
   std::optional<BlockBuilder> block_;
   LsmKey pending_first_key_;
-  // v2: completed data-chunk CRCs plus the accumulator for the open chunk.
-  std::vector<uint32_t> data_crcs_;
-  uint32_t chunk_crc_ = 0;
-  uint64_t chunk_bytes_ = 0;
   uint64_t record_count_ = 0;
   uint64_t anti_matter_count_ = 0;
   LsmKey min_key_;
@@ -161,7 +148,7 @@ class DiskComponent : public std::enable_shared_from_this<DiskComponent> {
  public:
   // Opens a sealed component through `env` (Env::Default() when null),
   // verifying the footer, index, and bloom checksums. Data checksums are
-  // verified lazily on every block/chunk read; recovery calls
+  // verified lazily on every block read; recovery calls
   // VerifyBlockChecksums() to scan them eagerly.
   [[nodiscard]]
   static StatusOr<std::shared_ptr<DiskComponent>> Open(
@@ -172,15 +159,10 @@ class DiskComponent : public std::enable_shared_from_this<DiskComponent> {
   const ComponentMetadata& metadata() const { return metadata_; }
   const std::string& path() const { return path_; }
 
-  // On-disk format version (2 or 3) read from the footer magic.
-  uint32_t format_version() const { return format_version_; }
-  // Number of data blocks (v3) — zero for v2 components.
-  size_t block_count() const {
-    return format_version_ == 3 ? sparse_index_.size() : 0;
-  }
+  size_t block_count() const { return sparse_index_.size(); }
   size_t bloom_size_bytes() const { return bloom_.SizeBytes(); }
 
-  // Reads, verifies, and decodes data block `block_index` (v3 only). Served
+  // Reads, verifies, and decodes data block `block_index`. Served
   // from the block cache when one is configured; `fill_cache` = false
   // bypasses the cache entirely (verification scans must hit the disk and
   // must not evict the working set).
@@ -188,7 +170,7 @@ class DiskComponent : public std::enable_shared_from_this<DiskComponent> {
   StatusOr<BlockCache::BlockHandle> ReadBlock(size_t block_index,
                                               bool fill_cache = true) const;
 
-  // Reads every data block/chunk and checks its CRC32C; Corruption on
+  // Reads every data block and checks its CRC32C; Corruption on
   // mismatch.
   [[nodiscard]] Status VerifyBlockChecksums() const;
 
@@ -216,34 +198,26 @@ class DiskComponent : public std::enable_shared_from_this<DiskComponent> {
  private:
   DiskComponent() = default;
 
-  // v2: offset of the entry run that may contain `key`.
-  uint64_t SeekOffset(const LsmKey& key) const;
-  // v3: index of the single block that may contain `key`.
+  // Index of the single block that may contain `key`.
   size_t SeekBlockIndex(const LsmKey& key) const;
 
   Env* env_ = nullptr;
   std::string path_;
-  uint32_t format_version_ = 3;
   std::shared_ptr<RandomAccessFile> file_;
-  // v2: checksum-verifying view over the entry region [0, data_end_); all v2
-  // entry reads (Get, cursors) go through it.
-  std::shared_ptr<RandomAccessFile> data_file_;
   ComponentMetadata metadata_;
   uint64_t data_end_ = 0;
-  // v2: (key, offset) every kIndexInterval entries. v3: (first key, offset)
-  // per block.
+  // (first key, offset) per block.
   std::vector<std::pair<LsmKey, uint64_t>> sparse_index_;
   BloomFilter bloom_;
-  // v3 read path: optional shared cache plus the process-unique id this
+  // Optional shared cache plus the process-unique id this
   // component's blocks are keyed under.
   BlockCache* block_cache_ = nullptr;
   uint64_t cache_file_id_ = 0;
 };
 
-// Entry wire helpers shared by the builder and readers.
+// Entry wire helpers shared by the builder and readers; DecodeEntry reads
+// from an in-memory (decoded block) buffer.
 void EncodeEntry(const Entry& entry, Encoder* enc);
-[[nodiscard]] Status DecodeEntry(SequentialFileReader* reader, Entry* out);
-// Same wire format, decoding from an in-memory (decoded block) buffer.
 [[nodiscard]] Status DecodeEntry(Decoder* dec, Entry* out);
 
 }  // namespace lsmstats

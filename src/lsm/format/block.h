@@ -31,11 +31,7 @@ namespace lsmstats {
 
 // Writer-side knobs for new component files.
 struct ComponentWriteOptions {
-  // 3 = block-based format (this layer); 2 = legacy flat entry region with
-  // per-chunk checksums, kept writable for compatibility tests and mixed
-  // clusters mid-upgrade.
-  uint32_t format_version = 3;
-  // Codec for v3 data blocks, by registry name ("none", "delta"). Blocks the
+  // Codec for data blocks, by registry name ("none", "delta"). Blocks the
   // codec cannot shrink are stored raw regardless.
   std::string compression = "none";
   // Raw (uncompressed) bytes accumulated before a block is sealed. One entry

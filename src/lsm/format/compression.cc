@@ -60,10 +60,10 @@ class DeltaVarintCodec : public CompressionCodec {
     int64_t prev1 = 0;
     int64_t prev2 = 0;
     while (!dec.Done()) {
-      int64_t k0;
-      int64_t k1;
-      int64_t k2;
-      uint8_t flags;
+      int64_t k0 = 0;
+      int64_t k1 = 0;
+      int64_t k2 = 0;
+      uint8_t flags = 0;
       std::string value;
       if (!dec.GetI64(&k0).ok() || !dec.GetI64(&k1).ok() ||
           !dec.GetI64(&k2).ok() || !dec.GetU8(&flags).ok() ||

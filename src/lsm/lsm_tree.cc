@@ -37,10 +37,7 @@ LsmTree::LsmTree(LsmTreeOptions options)
                                             : EnvironmentWalEnabled()),
       wal_sync_mode_(options_.wal_sync_mode.has_value()
                          ? *options_.wal_sync_mode
-                         : EnvironmentWalSyncMode()),
-      wal_group_commit_(options_.wal_group_commit.has_value()
-                            ? *options_.wal_group_commit
-                            : EnvironmentWalGroupCommit()) {
+                         : EnvironmentWalSyncMode()) {
   if (!options_.merge_policy) {
     options_.merge_policy = EnvironmentMergePolicy();
   }
@@ -74,12 +71,6 @@ StatusOr<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
     return Status::InvalidArgument("LsmTreeOptions.directory is required");
   }
   auto tree = std::unique_ptr<LsmTree>(new LsmTree(std::move(options)));
-  if (tree->write_options_.format_version != 2 &&
-      tree->write_options_.format_version != 3) {
-    return Status::InvalidArgument(
-        "unsupported component format version " +
-        std::to_string(tree->write_options_.format_version));
-  }
   if (CodecByName(tree->write_options_.compression) == nullptr) {
     return Status::InvalidArgument("unknown compression codec: " +
                                    tree->write_options_.compression);
@@ -306,7 +297,7 @@ StatusOr<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
       [raw](uint32_t /*tree_id*/, WalOp op, const LsmKey& key,
             std::string_view value) {
         // Runs synchronously under the recovery lock taken above; the
-        // analysis cannot see through the std::function. A per-tree log
+        // analysis cannot see through the std::function. A tree's own log
         // only writes tree id 0, so the id carries no information here.
         raw->mu_.AssertHeld();
         // fresh_insert is not logged; replaying without it is always
@@ -332,13 +323,11 @@ StatusOr<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
     log_options.directory = tree->options_.directory;
     log_options.prefix = tree->options_.name;
     log_options.sync_mode = tree->wal_sync_mode_;
-    log_options.group_commit = tree->wal_group_commit_;
     log_options.next_sequence = wal_recovery->next_sequence;
     // Explicit option only — the LSMSTATS_MIN_FREE_BYTES override must not
     // turn env-injected watchdog trips into write errors on the Put path.
     log_options.min_free_bytes = tree->options_.min_free_bytes.value_or(0);
     tree->wal_log_ = std::make_unique<WalLog>(std::move(log_options));
-    tree->wal_wait_durable_ = tree->wal_log_->group_commit_effective();
   }
   return tree;
 }
@@ -362,7 +351,7 @@ StatusOr<bool> LsmTree::RotateLocked() {
   // Seal the active WAL segment before touching the memtable: on a flush,
   // sync, or close failure nothing has been mutated (the log keeps its
   // segment open), so the caller may retry. Sealing flushes any frames a
-  // group-commit leader has not yet written, so the sealed segment holds
+  // commit leader has not yet written, so the sealed segment holds
   // exactly the records of this memtable incarnation.
   std::vector<std::string> segments;
   if (wal_log_ != nullptr) {
@@ -435,19 +424,18 @@ Status LsmTree::Put(const LsmKey& key, std::string value, bool fresh_insert) {
     MutexLock lock(&mu_);
     LSMSTATS_RETURN_IF_ERROR(WriteGateLocked());
     // Log before applying: a WAL failure must not leave the memtable holding
-    // a record the log never saw. Under group commit the frame is buffered
-    // here (still under mu_, so log order equals apply order) and made
-    // durable below.
+    // a record the log never saw. Under every-record sync the frame is
+    // buffered here (still under mu_, so log order equals apply order) and
+    // made durable below.
     auto logged = WalAppendLocked(WalOp::kPut, key, value);
     LSMSTATS_RETURN_IF_ERROR(logged.status());
     ticket = *logged;
     memtable_->Put(key, std::move(value), fresh_insert);
   }
-  // Group commit: the ack waits for a leader's fsync with no tree lock held,
-  // so one leader batches every concurrent writer's frame into one fsync.
-  if (wal_wait_durable_) {
-    LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
-  }
+  // The ack waits for a commit leader's fsync with no tree lock held, so one
+  // leader batches every concurrent writer's frame into one fsync. A zero
+  // ticket (WAL off) has nothing to wait for.
+  if (ticket != 0) LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
   return MaybeFlushAfterWrite();
 }
 
@@ -461,9 +449,7 @@ Status LsmTree::Delete(const LsmKey& key) {
     ticket = *logged;
     memtable_->Delete(key);
   }
-  if (wal_wait_durable_) {
-    LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
-  }
+  if (ticket != 0) LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
   return MaybeFlushAfterWrite();
 }
 
@@ -477,9 +463,7 @@ Status LsmTree::PutAntiMatter(const LsmKey& key) {
     ticket = *logged;
     memtable_->PutAntiMatter(key);
   }
-  if (wal_wait_durable_) {
-    LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
-  }
+  if (ticket != 0) LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
   return MaybeFlushAfterWrite();
 }
 
@@ -500,9 +484,7 @@ Status LsmTree::Write(WriteBatch batch) {
                        entry.fresh_insert);
     }
   }
-  if (wal_wait_durable_) {
-    LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
-  }
+  if (ticket != 0) LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
   return MaybeFlushAfterWrite();
 }
 
@@ -732,7 +714,7 @@ Status LsmTree::FlushOneImmutable() {
                                       front.wal_segments.begin(),
                                       front.wal_segments.end());
         immutables_.pop_front();
-        flushes_completed_.fetch_add(1, std::memory_order_relaxed);
+        flushes_completed_.fetch_add(1, std::memory_order_release);
         cv_.NotifyAll();
       },
       &component));
@@ -1599,6 +1581,12 @@ uint64_t LsmTree::MemTableBytes() const {
 size_t LsmTree::ImmutableMemTableCount() const {
   MutexLock lock(&mu_);
   return immutables_.size();
+}
+
+uint64_t LsmTree::MemTablesRotated() const {
+  MutexLock lock(&mu_);
+  return flushes_completed_.load(std::memory_order_relaxed) +
+         immutables_.size();
 }
 
 uint64_t LsmTree::TotalMemTableBytes() const {

@@ -119,9 +119,9 @@ struct LsmTreeOptions {
   // default 0 = off). An explicit value is also applied to WAL segment
   // creation (the environment override is not — see WalLogOptions).
   std::optional<uint64_t> min_free_bytes;
-  // Format/codec/block-size for components this tree writes. Unset resolves
-  // to EnvironmentWriteOptions() (format v3, codec from LSMSTATS_COMPRESSION
-  // or "none") at Open.
+  // Codec/block-size for components this tree writes. Unset resolves
+  // to EnvironmentWriteOptions() (codec from LSMSTATS_COMPRESSION or "none")
+  // at Open.
   std::optional<ComponentWriteOptions> write_options;
   // Shared cache for decoded data blocks, typically owned by the Dataset so
   // all of its trees share one budget. Not owned; must outlive the tree.
@@ -129,20 +129,16 @@ struct LsmTreeOptions {
   // uncached reads).
   BlockCache* block_cache = nullptr;
   // Write-ahead log: when true, every Put/Delete/PutAntiMatter is appended
-  // to a per-tree log segment before it touches the memtable, and Open()
+  // to this tree's own log segment before it touches the memtable, and Open()
   // replays surviving segments (see lsm/wal.h). Unset resolves to
   // EnvironmentWalEnabled() (LSMSTATS_WAL, default off — the paper runs stay
   // bit-identical). Explicitly setting `false` overrides the environment.
   std::optional<bool> wal;
   // Durability granularity of the log; unset resolves to
-  // EnvironmentWalSyncMode() (LSMSTATS_WAL_SYNC, default flush-only).
+  // EnvironmentWalSyncMode() (LSMSTATS_WAL_SYNC, default flush-only). Under
+  // every-record sync, concurrent writers share fsyncs through the log's
+  // group commit (see lsm/wal.h, WalLog).
   std::optional<WalSyncMode> wal_sync_mode;
-  // Group commit for every-record sync: writers buffer framed records and an
-  // elected leader fsyncs the whole pending batch, amortizing one fsync
-  // across N concurrent writers (see lsm/wal.h, WalLog). Only changes
-  // behavior when the WAL is on with every-record sync. Unset resolves to
-  // EnvironmentWalGroupCommit() (LSMSTATS_WAL_GROUP_COMMIT, default off).
-  std::optional<bool> wal_group_commit;
 };
 
 // Degradation state of a tree. Reads (Get/Scan/ScanCount and the statistics
@@ -325,10 +321,17 @@ class LsmTree {
   // Resident bloom-filter bytes across all disk components.
   uint64_t TotalBloomBytes() const;
   // Lifetime count of immutable memtables flushed to components; the memory
-  // arbiter derives flushes-avoided-per-MB from its rate of change.
+  // arbiter derives flushes-avoided-per-MB from its rate of change, and a
+  // dataset reclaims WAL segments once it passes a rotation's count
+  // (acquire: the flushed component is durable before the count moves).
   uint64_t FlushesCompleted() const {
-    return flushes_completed_.load(std::memory_order_relaxed);
+    return flushes_completed_.load(std::memory_order_acquire);
   }
+  // Lifetime count of memtables rotated out: FlushesCompleted() plus the
+  // immutables still queued, read under one lock so the sum is exact. Once
+  // FlushesCompleted() reaches a value read here, every memtable rotated
+  // before the read sits in a durable component.
+  uint64_t MemTablesRotated() const;
   const LsmTreeOptions& options() const { return options_; }
 
   // --- Memory-arbiter grant surface ---------------------------------------
@@ -617,11 +620,6 @@ class LsmTree {
   // WAL policy resolved from options_/environment at construction.
   bool wal_enabled_ = false;
   WalSyncMode wal_sync_mode_ = WalSyncMode::kFlushOnly;
-  bool wal_group_commit_ = false;
-  // True when acks must wait for a group-commit leader's fsync (WAL on,
-  // every-record sync, group commit requested). Set in Open(), immutable
-  // afterwards.
-  bool wal_wait_durable_ = false;
   // The write-ahead log (null when the WAL is off). Internally synchronized
   // at rank kWalLog, which sits directly below mu_: appends and seals
   // happen under mu_, durability waits take only the log's own lock.

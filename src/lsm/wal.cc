@@ -110,16 +110,6 @@ WalSyncMode EnvironmentWalSyncMode() {
   return mode;
 }
 
-bool EnvironmentWalGroupCommit() {
-  static const bool enabled = [] {
-    // Read once under the function-local static's init lock; nothing in this
-    // process calls setenv, so the unsynchronized-environ hazard does not apply.
-    const char* v = std::getenv("LSMSTATS_WAL_GROUP_COMMIT");  // NOLINT(concurrency-mt-unsafe)
-    return v != nullptr && v[0] != '\0' && std::string_view(v) != "0";
-  }();
-  return enabled;
-}
-
 std::string WalFilePath(const std::string& directory,
                         const std::string& prefix, uint64_t sequence) {
   return directory + "/" + prefix + "_" + std::to_string(sequence) +
@@ -149,20 +139,18 @@ void EncodeWalBatchFrame(const WriteBatch& batch, std::string* out) {
 // ------------------------------------------------------------------ writer
 
 StatusOr<std::unique_ptr<WalSegmentWriter>> WalSegmentWriter::Create(
-    Env* env, std::string path, WalSyncMode sync_mode) {
+    Env* env, std::string path) {
   auto file = env->NewWritableFile(path);
   LSMSTATS_RETURN_IF_ERROR(file.status());
-  return std::unique_ptr<WalSegmentWriter>(new WalSegmentWriter(
-      std::move(file).value(), std::move(path), sync_mode));
+  return std::unique_ptr<WalSegmentWriter>(
+      new WalSegmentWriter(std::move(file).value(), std::move(path)));
 }
 
 Status WalSegmentWriter::Append(WalOp op, const LsmKey& key,
                                 std::string_view value) {
   std::string bytes;
   EncodeWalRecordFrame(op, key, value, &bytes);
-  LSMSTATS_RETURN_IF_ERROR(AppendFrames(bytes, 1));
-  if (sync_mode_ == WalSyncMode::kEveryRecord) return file_->Sync();
-  return Status::OK();
+  return AppendFrames(bytes, 1);
 }
 
 Status WalSegmentWriter::AppendFrames(std::string_view frames,
@@ -180,8 +168,7 @@ Status WalSegmentWriter::Close() { return file_->Close(); }
 
 WalLog::WalLog(WalLogOptions options)
     : options_(std::move(options)),
-      group_commit_(options_.group_commit &&
-                    options_.sync_mode == WalSyncMode::kEveryRecord),
+      every_record_(options_.sync_mode == WalSyncMode::kEveryRecord),
       next_sequence_(options_.next_sequence) {}
 
 WalLog::~WalLog() {
@@ -219,8 +206,7 @@ Status WalLog::EnsureWriterLocked() {
   }
   auto writer = WalSegmentWriter::Create(
       options_.env,
-      WalFilePath(options_.directory, options_.prefix, next_sequence_),
-      options_.sync_mode);
+      WalFilePath(options_.directory, options_.prefix, next_sequence_));
   LSMSTATS_RETURN_IF_ERROR(writer.status());
   if (options_.sync_mode != WalSyncMode::kNone) {
     // Make the segment's directory entry durable before any record in it can
@@ -235,23 +221,18 @@ Status WalLog::EnsureWriterLocked() {
 
 StatusOr<uint64_t> WalLog::AppendFrameLocked(std::string frame,
                                              uint64_t record_count) {
-  if (group_commit_) {
-    // A leader failure left frame durability unknown; appending above the
-    // hole would let a later ack imply an earlier, lost record.
-    LSMSTATS_RETURN_IF_ERROR(group_error_);
-  }
+  // A leader failure left frame durability unknown; appending above the
+  // hole would let a later ack imply an earlier, lost record. (Only ever set
+  // under kEveryRecord.)
+  LSMSTATS_RETURN_IF_ERROR(commit_error_);
   LSMSTATS_RETURN_IF_ERROR(EnsureWriterLocked());
-  if (group_commit_) {
+  if (every_record_) {
     pending_.append(frame);
     pending_records_ += record_count;
     records_ += record_count;
     return ++appended_seq_;
   }
   LSMSTATS_RETURN_IF_ERROR(writer_->AppendFrames(frame, record_count));
-  if (options_.sync_mode == WalSyncMode::kEveryRecord) {
-    ++syncs_;
-    LSMSTATS_RETURN_IF_ERROR(writer_->Sync());
-  }
   records_ += record_count;
   durable_seq_ = ++appended_seq_;
   return appended_seq_;
@@ -299,19 +280,19 @@ void WalLog::LeadCommitLocked() {
   sync_in_progress_ = false;
   if (s.ok()) {
     if (target > durable_seq_) durable_seq_ = target;
-  } else if (group_error_.ok()) {
-    group_error_ = s;
+  } else if (commit_error_.ok()) {
+    commit_error_ = s;
   }
   cv_.NotifyAll();
 }
 
 Status WalLog::WaitDurable(uint64_t ticket) {
-  if (ticket == 0 || !group_commit_) return Status::OK();
+  if (ticket == 0 || !every_record_) return Status::OK();
   MutexLock lock(&mu_);
   bool stalled = false;
   while (true) {
     if (durable_seq_ >= ticket) return Status::OK();
-    if (!group_error_.ok()) return group_error_;
+    if (!commit_error_.ok()) return commit_error_;
     if (sync_in_progress_) {
       cv_.Wait(&mu_);
       continue;
@@ -336,7 +317,7 @@ Status WalLog::WaitDurable(uint64_t ticket) {
       auto last_growth = start;
       uint64_t seen = pending_records_;
       while (!sync_in_progress_ && durable_seq_ < ticket &&
-             group_error_.ok()) {
+             commit_error_.ok()) {
         const auto now = std::chrono::steady_clock::now();
         if (now >= deadline) break;
         if (pending_records_ != seen) {
@@ -366,21 +347,21 @@ StatusOr<std::optional<std::string>> WalLog::Seal() {
     if (!flush.ok()) {
       // pending_ is kept so a retried Seal (or the next leader) can still
       // commit the frames; a duplicated partial append replays idempotently.
-      if (group_commit_ && group_error_.ok()) group_error_ = flush;
+      if (every_record_ && commit_error_.ok()) commit_error_ = flush;
       cv_.NotifyAll();
       return flush;
     }
     pending_.clear();
     pending_records_ = 0;
   }
-  // kFlushOnly's durability point is the seal; under group commit any frame
-  // flushed just now was promised every-record durability before its ack.
+  // kFlushOnly's durability point is the seal; under kEveryRecord any frame
+  // flushed just now was promised durability before its ack.
   if (options_.sync_mode == WalSyncMode::kFlushOnly ||
-      (options_.sync_mode == WalSyncMode::kEveryRecord && had_pending)) {
+      (every_record_ && had_pending)) {
     ++syncs_;
     Status sync = writer_->Sync();
     if (!sync.ok()) {
-      if (group_commit_ && group_error_.ok()) group_error_ = sync;
+      if (every_record_ && commit_error_.ok()) commit_error_ = sync;
       cv_.NotifyAll();
       return sync;
     }

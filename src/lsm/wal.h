@@ -4,8 +4,8 @@
 // immutable memtables — and with them the synopses those records would have
 // fed (the paper's premise is that *every* record passes through an LSM
 // lifecycle event). The WAL closes that gap: each Put/Delete/PutAntiMatter is
-// appended to a per-tree log segment *before* it touches the memtable, and
-// Open() replays surviving segments so accepted records survive a reboot.
+// appended to a log segment *before* it touches the memtable, and Open()
+// replays surviving segments so accepted records survive a reboot.
 //
 // Segment files are named `<prefix>_<sequence>.wal` in the owning tree's (or
 // dataset's) directory; sequence numbers are monotone, so name order is
@@ -13,9 +13,9 @@
 // components). A segment holds the records of exactly one memtable
 // incarnation: rotation seals the active segment and the next logged write
 // starts a fresh one; once the corresponding memtable is flushed into a
-// sealed component the segment is obsolete and deleted. A *shared* log
-// (one stream serving all of a dataset's index trees, see Dataset) follows
-// the same lifecycle with the dataset sealing around whole-dataset flushes.
+// sealed component the segment is obsolete and deleted. A dataset's index
+// trees share one log (see Dataset), which follows the same lifecycle with
+// the dataset sealing around whole-dataset rotations.
 //
 // Record frame (all little-endian, varints/strings via common/coding.h):
 //
@@ -38,20 +38,20 @@
 // tree never observes half a WriteBatch.
 //
 // Durability is governed by WalSyncMode:
-//   * kEveryRecord — fsync after each commit: an acknowledged write is
-//     durable the moment the call returns.
+//   * kEveryRecord — an acknowledged write is durable the moment the call
+//     returns, through group commit (below).
 //   * kFlushOnly   — fsync only when the segment is sealed at rotation: the
 //     immutable-memtable backlog is durable, the active memtable is not.
 //   * kNone        — never fsync: the OS page cache decides (still recovers
 //     from process crashes, not power loss).
 //
-// Group commit (WalLog with group_commit=true, meaningful only under
-// kEveryRecord) replaces fsync-per-record with fsync-per-*leader*: writers
-// buffer their encoded frames under the log's mutex and wait; the first
-// waiter whose record is not yet durable becomes the leader, writes and
-// fsyncs every buffered frame with one syscall pair, and wakes all waiters
-// whose records the sync covered. The "acked ⇒ durable" contract is
-// unchanged — only the ack is deferred, never the apply order.
+// Group commit is how kEveryRecord keeps that promise: writers buffer their
+// encoded frames under the log's mutex and wait; the first waiter whose
+// record is not yet durable becomes the leader, writes and fsyncs every
+// buffered frame with one syscall pair, and wakes all waiters whose records
+// the sync covered. A lone writer leads its own group, so this costs it one
+// fsync per record as a plain append-and-sync would. Only the ack is
+// deferred, never the apply order.
 //
 // All file I/O flows through Env (tools/lint.py rule `wal-io` confines the
 // `.wal` suffix and WAL file access to this module), so FaultInjectionEnv
@@ -90,13 +90,12 @@ const char* WalSyncModeToString(WalSyncMode mode);
 
 // WAL policy resolved from the process environment, used wherever
 // LsmTreeOptions::wal / wal_sync_mode are left unset: LSMSTATS_WAL=1 enables
-// the log, LSMSTATS_WAL_SYNC names the sync mode (default flush-only), and
-// LSMSTATS_WAL_GROUP_COMMIT=1 turns on group commit. This is how CI forces
-// the WAL through the whole tier-1 suite without touching call sites; unset
-// variables leave the defaults (WAL off) bit-identical.
+// the log and LSMSTATS_WAL_SYNC names the sync mode (default flush-only).
+// This is how CI forces the WAL through the whole tier-1 suite without
+// touching call sites; unset variables leave the defaults (WAL off)
+// bit-identical.
 bool EnvironmentWalEnabled();
 WalSyncMode EnvironmentWalSyncMode();
-bool EnvironmentWalGroupCommit();
 
 // Logged operation kinds. Values are on-disk format; never renumber.
 enum class WalOp : uint8_t {
@@ -121,26 +120,25 @@ void EncodeWalRecordFrame(WalOp op, const LsmKey& key, std::string_view value,
 // `*out`. The frame's single CRC makes the batch atomic under replay.
 void EncodeWalBatchFrame(const WriteBatch& batch, std::string* out);
 
-// Appends framed records to one segment file. Not internally synchronized:
-// callers (WalLog, tests) serialize access themselves.
+// Appends framed records to one segment file. Never syncs on its own: the
+// owner of the commit protocol (WalLog) decides when the bytes must become
+// durable. Not internally synchronized: callers (WalLog, tests) serialize
+// access themselves.
 class WalSegmentWriter {
  public:
-  // Creates (truncates) the segment file. In kEveryRecord mode every Append
-  // fsyncs before returning.
+  // Creates (truncates) the segment file.
   [[nodiscard]]
-  static StatusOr<std::unique_ptr<WalSegmentWriter>> Create(
-      Env* env, std::string path, WalSyncMode sync_mode);
+  static StatusOr<std::unique_ptr<WalSegmentWriter>> Create(Env* env,
+                                                            std::string path);
 
   [[nodiscard]]
   Status Append(WalOp op, const LsmKey& key, std::string_view value);
 
   // Appends pre-encoded frame bytes covering `record_count` logical records.
-  // Never syncs — callers owning a commit protocol (WalLog) decide when the
-  // bytes must become durable.
   [[nodiscard]]
   Status AppendFrames(std::string_view frames, uint64_t record_count);
 
-  // Makes every appended frame durable (used at rotation in kFlushOnly mode).
+  // Makes every appended frame durable.
   [[nodiscard]] Status Sync();
 
   // Flushes to the OS and closes the file. Idempotent on success; durability
@@ -151,28 +149,21 @@ class WalSegmentWriter {
   uint64_t records_appended() const { return records_; }
 
  private:
-  WalSegmentWriter(std::unique_ptr<WritableFile> file, std::string path,
-                   WalSyncMode sync_mode)
-      : file_(std::move(file)), path_(std::move(path)),
-        sync_mode_(sync_mode) {}
+  WalSegmentWriter(std::unique_ptr<WritableFile> file, std::string path)
+      : file_(std::move(file)), path_(std::move(path)) {}
 
   std::unique_ptr<WritableFile> file_;
   std::string path_;
-  WalSyncMode sync_mode_;
   uint64_t records_ = 0;
 };
 
 struct WalLogOptions {
   Env* env = nullptr;
   std::string directory;
-  // Segment files are `<prefix>_<seq>.wal`: the tree name for a per-tree
-  // log, `<dataset>_wal` for a shared per-dataset log.
+  // Segment files are `<prefix>_<seq>.wal`: the tree name for a standalone
+  // tree's log, `<dataset>_wal` for a dataset's shared log.
   std::string prefix;
   WalSyncMode sync_mode = WalSyncMode::kFlushOnly;
-  // Enables group commit. Only changes behavior under kEveryRecord (the
-  // other modes never fsync on the append path, so there is nothing to
-  // amortize); see the class comment.
-  bool group_commit = false;
   // First unused segment sequence number (from WalRecoveryResult).
   uint64_t next_sequence = 1;
   // Free-space watchdog floor: a new segment is only started when the log
@@ -185,31 +176,38 @@ struct WalLogOptions {
   uint64_t min_free_bytes = 0;
 };
 
-// A write-ahead log: an append stream over rotating segment files, with an
-// optional group-commit protocol amortizing one fsync across N concurrent
-// writers. Internally synchronized (rank LockRank::kWalLog — acquired under
-// LsmTree::mu_ on the append/seal paths, bare from commit waiters).
+// A write-ahead log: an append stream over rotating segment files. Under
+// kEveryRecord a group-commit protocol amortizes one fsync across N
+// concurrent writers. WalLog issues every fsync of its segments. Internally
+// synchronized (rank LockRank::kWalLog — acquired under LsmTree::mu_ on a
+// standalone tree's append/seal paths, bare from a dataset's writer and
+// from commit waiters).
 //
 // Usage contract, in the order a write takes:
 //   1. Append()/AppendBatch() — under the caller's own write critical
 //      section, BEFORE the memtable apply, so log order always equals apply
-//      order. Returns a ticket. Without group commit the record is already
+//      order. Returns a ticket. Outside kEveryRecord the record is already
 //      committed per the sync mode when this returns.
-//   2. WaitDurable(ticket) — with NO caller lock held. With group commit
+//   2. WaitDurable(ticket) — with NO caller lock held. Under kEveryRecord
 //      this blocks until a leader has fsynced the record (electing the
 //      calling thread as leader when none is active); the caller must not
-//      acknowledge the write before this returns OK. Without group commit
-//      it returns immediately.
+//      acknowledge the write before this returns OK. In the other modes it
+//      returns immediately.
 //   3. Seal() — under the caller's write critical section, at memtable
 //      rotation. Flushes any buffered frames, syncs per the sync mode,
 //      closes the segment and returns its path (nullopt if no record was
 //      ever logged); the next Append starts a fresh segment.
 //
-// Errors: append/creation failures are returned to the caller and are
-// retryable (matching the pre-group-commit behavior). A group-commit
-// *leader* failure is sticky: the on-disk state of every buffered frame is
-// unknown, so acknowledging anything newer would ack above a hole — every
-// current and future waiter gets the same error.
+// Errors: failures on the caller's own append path (segment creation, a
+// flush-only/none append) are returned to it and are retryable. A commit
+// *leader* failure (or a failed seal) under kEveryRecord is sticky: the
+// on-disk state of every buffered frame is unknown, so acknowledging
+// anything newer would ack above a hole — every current and future
+// every-record writer gets the same error. A caller that applied its write
+// between steps 1 and 2 (a standalone LsmTree does, to keep log order equal
+// to apply order across concurrent writers) leaves that unacknowledged write
+// applied and visible when WaitDurable fails; a Dataset applies only after
+// WaitDurable returns OK.
 class WalLog {
  public:
   explicit WalLog(WalLogOptions options);
@@ -230,8 +228,8 @@ class WalLog {
   [[nodiscard]] StatusOr<uint64_t> AppendBatch(const WriteBatch& batch)
       EXCLUDES(mu_);
 
-  // Blocks until every frame up to `ticket` is durable (group commit) or
-  // returns immediately (all other configurations). Call with no lock held.
+  // Blocks until every frame up to `ticket` is durable (kEveryRecord) or
+  // returns immediately (the other sync modes). Call with no lock held.
   [[nodiscard]] Status WaitDurable(uint64_t ticket) EXCLUDES(mu_);
 
   // Seals the active segment: flushes buffered frames, syncs per the sync
@@ -240,8 +238,6 @@ class WalLog {
   // stays open so a retry can re-seal.
   [[nodiscard]] StatusOr<std::optional<std::string>> Seal() EXCLUDES(mu_);
 
-  // True when group commit is in effect (requested AND kEveryRecord).
-  bool group_commit_effective() const { return group_commit_; }
   WalSyncMode sync_mode() const { return options_.sync_mode; }
 
   // Observability (benchmarks report fsyncs/record from these).
@@ -253,23 +249,24 @@ class WalLog {
   [[nodiscard]] StatusOr<uint64_t> AppendFrameLocked(std::string frame,
                                                      uint64_t record_count)
       REQUIRES(mu_);
-  // Group-commit leader body: takes every buffered frame, releases mu_ for
+  // Commit leader body: takes every buffered frame, releases mu_ for
   // the append+fsync (mu_ is re-held on return), publishes the new durable
   // ticket or the sticky error, and wakes all waiters.
   void LeadCommitLocked() REQUIRES(mu_);
 
   const WalLogOptions options_;
-  const bool group_commit_;  // requested AND kEveryRecord
+  // kEveryRecord: appends buffer and WaitDurable runs the commit protocol.
+  const bool every_record_;
 
   mutable Mutex mu_{LockRank::kWalLog, "wal_log"};
   CondVar cv_;
   std::unique_ptr<WalSegmentWriter> writer_ GUARDED_BY(mu_);
   uint64_t next_sequence_ GUARDED_BY(mu_);
-  // Frames buffered by group-commit appends, awaiting a leader.
+  // Frames buffered by every-record appends, awaiting a leader.
   std::string pending_ GUARDED_BY(mu_);
   uint64_t pending_records_ GUARDED_BY(mu_) = 0;
   // Tickets: appended_seq_ counts frames logged, durable_seq_ the prefix
-  // known durable. Equal except between a group-commit append and its
+  // known durable. Equal except between an every-record append and its
   // leader's fsync.
   uint64_t appended_seq_ GUARDED_BY(mu_) = 0;
   uint64_t durable_seq_ GUARDED_BY(mu_) = 0;
@@ -284,14 +281,15 @@ class WalLog {
   // decays to the solo group size after one commit, so a lone writer never
   // stalls twice.
   uint64_t last_group_records_ GUARDED_BY(mu_) = 0;
-  Status group_error_ GUARDED_BY(mu_);
+  // Sticky commit failure (kEveryRecord only); see the class comment.
+  Status commit_error_ GUARDED_BY(mu_);
   uint64_t syncs_ GUARDED_BY(mu_) = 0;
   uint64_t records_ GUARDED_BY(mu_) = 0;
 };
 
 // Invoked for each replayed record, oldest first. `tree_id` is 0 for
-// single-record frames and for batch entries logged by one tree; a shared
-// per-dataset log tags each batch entry with the owning index tree (see
+// single-record frames and for batch entries logged by a standalone tree; a
+// dataset's shared log tags each batch entry with the owning index tree (see
 // Dataset's tree-id assignment).
 using WalReplayFn = std::function<void(
     uint32_t tree_id, WalOp op, const LsmKey& key, std::string_view value)>;

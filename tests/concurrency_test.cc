@@ -655,10 +655,11 @@ TEST(ClusterConcurrency, ConcurrentNodesDropNoStatistics) {
 
 // ----------------------------------------------- Group commit, multi-writer
 
-// N threads hammer one every-record-sync tree with group commit on. This is
-// the scenario the leader/follower protocol exists for: every thread's ack
-// must imply durability, and amortization must actually happen (fewer
-// fsyncs than records once writers pile up behind a leader).
+// N threads hammer one every-record-sync tree, which commits through the
+// log's group commit. This is the scenario the leader/follower protocol
+// exists for: every thread's ack must imply durability, and amortization
+// must actually happen (fewer fsyncs than records once writers pile up
+// behind a leader).
 TEST(GroupCommitConcurrency, MultiWriterAcksAreDurableAndAmortized) {
   TempDir dir;
   FaultInjectionEnv env;
@@ -668,7 +669,6 @@ TEST(GroupCommitConcurrency, MultiWriterAcksAreDurableAndAmortized) {
   options.env = &env;
   options.wal = true;
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  options.wal_group_commit = true;
   auto tree = LsmTree::Open(options).value();
 
   constexpr int kWriters = 8;
@@ -715,7 +715,6 @@ TEST(GroupCommitConcurrency, MixedBatchesAndRotationsStayConsistent) {
   options.memtable_max_entries = 64;
   options.wal = true;
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  options.wal_group_commit = true;
   auto tree = LsmTree::Open(options).value();
 
   constexpr int kWriters = 4;
@@ -765,7 +764,6 @@ TEST(GroupCommitConcurrency, LeaderFailureSurfacesToEveryWaiter) {
   options.env = &env;
   options.wal = true;
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  options.wal_group_commit = true;
   auto tree = LsmTree::Open(options).value();
 
   // Sync #1 is the directory fsync of the segment creation; sync #2 is the
@@ -774,11 +772,15 @@ TEST(GroupCommitConcurrency, LeaderFailureSurfacesToEveryWaiter) {
   constexpr int kWriters = 6;
   std::atomic<int> failures{0};
   std::vector<std::thread> writers;
+  std::vector<int> failed(kWriters, 0);  // int, not bool: one slot a thread
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       Status s = tree->Put(PrimaryKey(100 + w), "x", true);
-      if (!s.ok()) ++failures;
+      if (!s.ok()) {
+        ++failures;
+        failed[w] = 1;
+      }
     });
   }
   for (auto& writer : writers) writer.join();
@@ -787,6 +789,20 @@ TEST(GroupCommitConcurrency, LeaderFailureSurfacesToEveryWaiter) {
   // raced the failure was acknowledged as durable.
   EXPECT_GE(failures.load(), 1);
   EXPECT_GE(env.InjectedFailureCount(), 1u);
+  // A standalone tree applies a write before its commit, so the writes the
+  // failed leader covered stay applied and visible although refused; the
+  // writes refused at append by the sticky error were never applied.
+  int refused_but_visible = 0;
+  std::string value;
+  for (int w = 0; w < kWriters; ++w) {
+    Status s = tree->Get(PrimaryKey(100 + w), &value);
+    if (!failed[w]) {
+      EXPECT_TRUE(s.ok()) << "acked write " << w << " lost";
+    } else if (s.ok()) {
+      ++refused_but_visible;
+    }
+  }
+  EXPECT_GE(refused_but_visible, 1);
 }
 
 }  // namespace

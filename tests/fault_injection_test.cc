@@ -499,8 +499,8 @@ TEST_F(FaultInjectionTest, WalEveryRecordCrashSweepLosesNoAckedWrite) {
 constexpr int64_t kSweepBatches = 8;
 constexpr int64_t kSweepBatchSize = 3;
 
-// Ingest through a shared-WAL dataset under every-record sync with group
-// commit enabled, one atomic PutBatch of kSweepBatchSize records at a time
+// Ingest through a dataset's shared WAL under every-record (group-commit)
+// sync, one atomic PutBatch of kSweepBatchSize records at a time
 // (batch b covers pks [b*size, (b+1)*size)). Appends each batch index to
 // `acked` once its PutBatch was acknowledged. The small memtable bound
 // forces mid-run flushes, putting shared-segment sealing and reclamation
@@ -515,8 +515,6 @@ Status RunSharedBatchWorkload(Env* env, const std::string& dir,
   options.env = env;
   options.wal = true;
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  options.wal_group_commit = true;
-  options.shared_wal = true;
   auto dataset_or = Dataset::Open(options);
   LSMSTATS_RETURN_IF_ERROR(dataset_or.status());
   auto& dataset = *dataset_or;
@@ -565,8 +563,6 @@ TEST_F(FaultInjectionTest, SharedWalGroupCommitBatchSweepIsAtomic) {
     options.env = &env;
     options.wal = true;
     options.wal_sync_mode = WalSyncMode::kEveryRecord;
-    options.wal_group_commit = true;
-    options.shared_wal = true;
     auto dataset_or = Dataset::Open(options);
     ASSERT_TRUE(dataset_or.ok()) << dataset_or.status().ToString();
     auto& dataset = *dataset_or;

@@ -1,7 +1,7 @@
-// Cross-version component format tests: v2 files stay writable (via
-// ComponentWriteOptions) and readable, v2 and v3 serve identical data, the
-// delta codec shrinks real components without changing their contents, and
-// cached reads are served from the shared block cache.
+// Component format tests: a file in the retired v2 format is refused with a
+// status that names it, the delta codec shrinks real components without
+// changing their contents, and cached reads are served from the shared block
+// cache.
 
 #include <cstdlib>
 #include <filesystem>
@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "common/env.h"
+#include "common/file.h"
 #include "lsm/disk_component.h"
 #include "lsm/format/block.h"
 #include "lsm/format/block_cache.h"
@@ -79,96 +81,64 @@ void ExpectSameEntries(const std::vector<Entry>& expected,
   }
 }
 
-TEST(FormatCompat, V2ComponentRoundTrips) {
-  TempDir dir;
-  std::vector<Entry> entries = MakeEntries(500);
-  ComponentWriteOptions v2;
-  v2.format_version = 2;
-  auto component = WriteComponent(dir.path() + "/c.cmp", entries, v2);
-  ASSERT_NE(component, nullptr);
-
-  EXPECT_EQ(component->format_version(), 2u);
-  EXPECT_EQ(component->block_count(), 0u);
-  EXPECT_TRUE(component->VerifyBlockChecksums().ok());
-  ExpectSameEntries(entries, ReadAll(*component));
-
-  // Point lookups and mid-range positioned cursors behave as on v3.
-  Entry found;
-  ASSERT_TRUE(component->Get(entries[123].key, &found).ok());
-  EXPECT_EQ(found.key, entries[123].key);
-  auto cursor = component->NewCursorAt(entries[250].key);
-  ASSERT_TRUE(cursor->Valid());
-  EXPECT_EQ(cursor->entry().key, entries[250].key);
-
-  // A reopen parses the v2 footer from the magic alone.
-  auto reopened = DiskComponent::Open(nullptr, dir.path() + "/c.cmp", 1, 1);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->format_version(), 2u);
-  ExpectSameEntries(entries, ReadAll(**reopened));
-}
-
-TEST(FormatCompat, V2AndV3ServeIdenticalData) {
-  TempDir dir;
-  std::vector<Entry> entries = MakeEntries(700);
-  ComponentWriteOptions v2;
-  v2.format_version = 2;
-  auto old_fmt = WriteComponent(dir.path() + "/v2.cmp", entries, v2);
-  auto new_fmt = WriteComponent(dir.path() + "/v3.cmp", entries,
-                                ComponentWriteOptions{});
-  ASSERT_NE(old_fmt, nullptr);
-  ASSERT_NE(new_fmt, nullptr);
-
-  EXPECT_EQ(new_fmt->format_version(), 3u);
-  EXPECT_GT(new_fmt->block_count(), 0u);
-  ExpectSameEntries(ReadAll(*old_fmt), ReadAll(*new_fmt));
-
-  const ComponentMetadata& a = old_fmt->metadata();
-  const ComponentMetadata& b = new_fmt->metadata();
-  EXPECT_EQ(a.record_count, b.record_count);
-  EXPECT_EQ(a.anti_matter_count, b.anti_matter_count);
-  EXPECT_EQ(a.min_key, b.min_key);
-  EXPECT_EQ(a.max_key, b.max_key);
-}
-
-TEST(FormatCompat, TreeWrittenAsV2ReopensIdentically) {
-  TempDir dir;
-  ComponentWriteOptions v2;
-  v2.format_version = 2;
-  std::vector<ComponentMetadata> before;
+// Rewrites the footer magic of the component at `path` to the retired v2
+// format's ("LSMSTATS"). The footer CRC does not cover the magic, so only the
+// format check can refuse the file.
+void StampV2Magic(const std::string& path) {
+  std::string bytes;
   {
-    LsmTreeOptions options;
-    options.directory = dir.path();
-    options.memtable_max_entries = 100;
-    options.write_options = v2;
-    auto tree = LsmTree::Open(options);
-    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-    for (int64_t k = 0; k < 350; ++k) {
-      ASSERT_TRUE((*tree)->Put(PrimaryKey(k), "value-" + std::to_string(k),
-                               true)
-                      .ok());
-    }
-    ASSERT_TRUE((*tree)->Flush().ok());
-    before = (*tree)->ComponentsMetadata();
-    ASSERT_FALSE(before.empty());
+    auto file = RandomAccessFile::Open(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_TRUE((*file)->Read(0, (*file)->size(), &bytes).ok());
   }
-  // Recovery reads the v2 components back (footer magic switch) even though
-  // this build writes v3 by default.
+  Encoder magic;
+  magic.PutU64(0x4c534d5354415453ULL);
+  ASSERT_GE(bytes.size(), magic.size());
+  bytes.replace(bytes.size() - magic.size(), magic.size(), magic.buffer());
+  auto out = WritableFile::Create(path);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_TRUE((*out)->Append(bytes).ok());
+  ASSERT_TRUE((*out)->Close().ok());
+}
+
+void ExpectRetiredFormat(const Status& status) {
+  EXPECT_EQ(status.code(), StatusCode::kUnimplemented) << status.ToString();
+  EXPECT_NE(status.message().find("retired v2"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(FormatCompat, V2ComponentIsRejected) {
+  TempDir dir;
+  std::string path = dir.path() + "/c.cmp";
+  ASSERT_NE(WriteComponent(path, MakeEntries(500), ComponentWriteOptions{}),
+            nullptr);
+  StampV2Magic(path);
+  auto reopened = DiskComponent::Open(nullptr, path, 1, 1);
+  ASSERT_FALSE(reopened.ok());
+  ExpectRetiredFormat(reopened.status());
+}
+
+TEST(FormatCompat, TreeWithV2ComponentRefusesToOpen) {
+  TempDir dir;
   LsmTreeOptions options;
   options.directory = dir.path();
+  options.memtable_max_entries = 100;
+  {
+    auto tree = LsmTree::Open(options);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    for (int64_t k = 0; k < 150; ++k) {
+      ASSERT_TRUE((*tree)->Put(PrimaryKey(k), "value", true).ok());
+    }
+    ASSERT_TRUE((*tree)->Flush().ok());
+    ASSERT_FALSE((*tree)->ComponentsMetadata().empty());
+  }
+  for (const auto& file : std::filesystem::directory_iterator(dir.path())) {
+    if (file.path().extension() == ".cmp") StampV2Magic(file.path().string());
+  }
+  options.quarantine_corrupt_components = false;
   auto tree = LsmTree::Open(options);
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  auto after = (*tree)->ComponentsMetadata();
-  ASSERT_EQ(before.size(), after.size());
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i].id, after[i].id);
-    EXPECT_EQ(before[i].record_count, after[i].record_count);
-    EXPECT_EQ(before[i].file_size, after[i].file_size);
-  }
-  for (int64_t k = 0; k < 350; ++k) {
-    std::string value;
-    ASSERT_TRUE((*tree)->Get(PrimaryKey(k), &value).ok()) << "key " << k;
-    EXPECT_EQ(value, "value-" + std::to_string(k));
-  }
+  ASSERT_FALSE(tree.ok());
+  ExpectRetiredFormat(tree.status());
 }
 
 TEST(FormatCompat, DeltaCodecShrinksComponentsLosslessly) {
@@ -269,12 +239,6 @@ TEST(FormatCompat, UnknownWriteConfigurationIsRejected) {
   ComponentWriteOptions bad_codec;
   bad_codec.compression = "zstd";
   options.write_options = bad_codec;
-  EXPECT_EQ(LsmTree::Open(options).status().code(),
-            StatusCode::kInvalidArgument);
-
-  ComponentWriteOptions bad_version;
-  bad_version.format_version = 7;
-  options.write_options = bad_version;
   EXPECT_EQ(LsmTree::Open(options).status().code(),
             StatusCode::kInvalidArgument);
 }

@@ -3,16 +3,20 @@
 // quarantine), LsmTree replay on reopen, and the sync-mode durability
 // contracts under simulated power loss.
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "common/env.h"
 #include "db/dataset.h"
 #include "lsm/lsm_tree.h"
+#include "lsm/scheduler.h"
 #include "lsm/wal.h"
 #include "workload/tweets.h"
 
@@ -76,7 +80,7 @@ class WalTest : public ::testing::Test {
 TEST_F(WalTest, SegmentRoundTrip) {
   Env* env = Env::Default();
   std::string path = WalFilePath(dir_, "t", 1);
-  auto writer = WalSegmentWriter::Create(env, path, WalSyncMode::kFlushOnly);
+  auto writer = WalSegmentWriter::Create(env, path);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE((*writer)->Append(WalOp::kPut, PrimaryKey(1), "one").ok());
   ASSERT_TRUE((*writer)->Append(WalOp::kDelete, PrimaryKey(2), "").ok());
@@ -108,8 +112,7 @@ TEST_F(WalTest, TornTailClassifiedAndTruncatedByRecovery) {
   Env* env = Env::Default();
   std::string path = WalFilePath(dir_, "t", 1);
   {
-    auto writer =
-        WalSegmentWriter::Create(env, path, WalSyncMode::kNone).value();
+    auto writer = WalSegmentWriter::Create(env, path).value();
     for (int64_t k = 0; k < 5; ++k) {
       ASSERT_TRUE(writer->Append(WalOp::kPut, PrimaryKey(k), "vv").ok());
     }
@@ -147,8 +150,7 @@ TEST_F(WalTest, MidLogCorruptionStopsReplayAtTheDamage) {
   Env* env = Env::Default();
   std::string path = WalFilePath(dir_, "t", 1);
   {
-    auto writer =
-        WalSegmentWriter::Create(env, path, WalSyncMode::kNone).value();
+    auto writer = WalSegmentWriter::Create(env, path).value();
     // Identical value sizes => identical frame sizes.
     ASSERT_TRUE(writer->Append(WalOp::kPut, PrimaryKey(0), "aa").ok());
     ASSERT_TRUE(writer->Append(WalOp::kPut, PrimaryKey(1), "bb").ok());
@@ -177,8 +179,7 @@ TEST_F(WalTest, RecoveryQuarantinesCorruptSegmentAndAllNewer) {
   std::string corrupt = WalFilePath(dir_, "t", 1);
   std::string newer = WalFilePath(dir_, "t", 2);
   for (const std::string& path : {corrupt, newer}) {
-    auto writer =
-        WalSegmentWriter::Create(env, path, WalSyncMode::kNone).value();
+    auto writer = WalSegmentWriter::Create(env, path).value();
     ASSERT_TRUE(writer->Append(WalOp::kPut, PrimaryKey(0), "aa").ok());
     ASSERT_TRUE(writer->Append(WalOp::kPut, PrimaryKey(1), "bb").ok());
     ASSERT_TRUE(writer->Close().ok());
@@ -361,8 +362,8 @@ TEST_F(WalTest, EmptySegmentDeletedAtRecovery) {
   // zero-length file; recovery removes it rather than tracking a segment
   // that backs no records.
   {
-    auto writer = WalSegmentWriter::Create(
-        Env::Default(), WalFilePath(dir_, "t", 9), WalSyncMode::kNone);
+    auto writer =
+        WalSegmentWriter::Create(Env::Default(), WalFilePath(dir_, "t", 9));
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE((*writer)->Close().ok());
   }
@@ -461,30 +462,44 @@ TEST_F(WalTest, FlushOnlySyncMayLoseTheActiveMemtableOnPowerLoss) {
 // ------------------------------------------------------------ dataset level
 
 TEST_F(WalTest, DatasetReplaysEveryIndexInLockstep) {
-  auto make_options = [&] {
-    DatasetOptions options;
-    options.directory = dir_;
-    options.name = "tweets";
-    options.schema = TweetSchema(ValueDomain(0, 14));
-    options.memtable_max_entries = 100;
-    options.wal = true;
-    return options;
-  };
+  // Upgrade path: a release that logged per index tree left
+  // `<name>_pk_<seq>.wal` and `<name>_sk_<field>_<seq>.wal` segments behind.
+  // Standalone trees with the dataset's tree names write exactly those.
   {
-    auto dataset = Dataset::Open(make_options()).value();
+    LsmTreeOptions pk_options = Options();
+    pk_options.name = "tweets_pk";
+    LsmTreeOptions sk_options = Options();
+    sk_options.name = std::string("tweets_sk_") + kTweetMetricField;
+    auto primary = LsmTree::Open(pk_options).value();
+    auto secondary = LsmTree::Open(sk_options).value();
     for (int64_t pk = 0; pk < 20; ++pk) {
       Record record;
       record.pk = pk;
       record.fields = {pk % 5, 0};
-      ASSERT_TRUE(dataset->Insert(record).ok());
+      Encoder enc;
+      EncodeRecordValue(record, &enc);
+      ASSERT_TRUE(primary->Put(PrimaryKey(pk), enc.Release(), true).ok());
+      ASSERT_TRUE(secondary->Put(SecondaryKey(pk % 5, pk), "", true).ok());
     }
   }  // crash before any flush
-  auto dataset = Dataset::Open(make_options()).value();
+  ASSERT_EQ(WalFiles().size(), 2u);
+  DatasetOptions options;
+  options.directory = dir_;
+  options.name = "tweets";
+  options.schema = TweetSchema(ValueDomain(0, 14));
+  options.memtable_max_entries = 100;
+  options.wal = true;
+  auto dataset = Dataset::Open(options).value();
   auto record = dataset->Get(7);
   ASSERT_TRUE(record.ok()) << record.status().ToString();
   // The secondary index recovered in lockstep with the primary: a range
   // count that routes through it sees every replayed row.
   EXPECT_EQ(dataset->CountRange(kTweetMetricField, 2, 2).value(), 4u);
+  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 0, 14).value(), 20u);
+  // The first flush makes the replayed records durable and retires the
+  // per-tree segments; nothing logs per tree any more.
+  ASSERT_TRUE(dataset->Flush().ok());
+  EXPECT_TRUE(WalFiles().empty());
   EXPECT_EQ(dataset->CountRange(kTweetMetricField, 0, 14).value(), 20u);
 }
 
@@ -501,8 +516,7 @@ TEST_F(WalTest, BatchFrameRoundTripPreservesTreeIds) {
   std::string frame;
   EncodeWalBatchFrame(batch, &frame);
   {
-    auto writer =
-        WalSegmentWriter::Create(env, path, WalSyncMode::kFlushOnly).value();
+    auto writer = WalSegmentWriter::Create(env, path).value();
     ASSERT_TRUE(writer->AppendFrames(frame, batch.size()).ok());
     EXPECT_EQ(writer->records_appended(), 4u);
     ASSERT_TRUE(writer->Close().ok());
@@ -548,8 +562,7 @@ TEST_F(WalTest, TornBatchFrameDroppedInItsEntirety) {
   std::string frame;
   EncodeWalBatchFrame(batch, &frame);
   {
-    auto writer =
-        WalSegmentWriter::Create(env, path, WalSyncMode::kNone).value();
+    auto writer = WalSegmentWriter::Create(env, path).value();
     ASSERT_TRUE(
         writer->Append(WalOp::kPut, PrimaryKey(1), "whole").ok());
     ASSERT_TRUE(writer->AppendFrames(frame, batch.size()).ok());
@@ -606,13 +619,12 @@ TEST_F(WalTest, EmptyBatchWriteIsANoOp) {
 // ------------------------------------------------------------ group commit
 
 TEST_F(WalTest, GroupCommitSingleWriterSurvivesPowerLoss) {
-  // With one writer the caller is always its own leader; the acked ⇒
-  // durable contract must hold exactly as in plain every-record mode.
+  // With one writer the caller is always its own commit leader: one fsync
+  // per acknowledged write or batch, and acked => durable still holds.
   FaultInjectionEnv env;
   LsmTreeOptions options = Options();
   options.env = &env;
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  options.wal_group_commit = true;
   {
     auto tree = LsmTree::Open(options).value();
     for (int64_t k = 0; k < 7; ++k) {
@@ -640,7 +652,6 @@ TEST_F(WalTest, GroupCommitSingleWriterSurvivesPowerLoss) {
 TEST_F(WalTest, GroupCommitFlushRetiresSegmentsLikePlainMode) {
   LsmTreeOptions options = Options();
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  options.wal_group_commit = true;
   auto tree = LsmTree::Open(options).value();
   for (int64_t k = 0; k < 10; ++k) {
     ASSERT_TRUE(tree->Put(PrimaryKey(k), "x", true).ok());
@@ -652,11 +663,10 @@ TEST_F(WalTest, GroupCommitFlushRetiresSegmentsLikePlainMode) {
 }
 
 TEST_F(WalTest, GroupCommitOffOutsideEveryRecordMode) {
-  // group_commit under flush-only sync has nothing to amortize; the log
-  // must behave exactly like plain flush-only (no deferred acks).
+  // Group commit is the every-record protocol only: flush-only sync acks
+  // at once and issues no append-path fsyncs.
   LsmTreeOptions options = Options();
   options.wal_sync_mode = WalSyncMode::kFlushOnly;
-  options.wal_group_commit = true;
   auto tree = LsmTree::Open(options).value();
   for (int64_t k = 0; k < 5; ++k) {
     ASSERT_TRUE(tree->Put(PrimaryKey(k), "x", true).ok());
@@ -666,7 +676,7 @@ TEST_F(WalTest, GroupCommitOffOutsideEveryRecordMode) {
   EXPECT_TRUE(WalFiles().empty());
 }
 
-// ------------------------------------------------------- shared dataset WAL
+// ------------------------------------------------------------- dataset WAL
 
 DatasetOptions SharedWalDatasetOptions(const std::string& dir) {
   DatasetOptions options;
@@ -675,7 +685,6 @@ DatasetOptions SharedWalDatasetOptions(const std::string& dir) {
   options.schema = TweetSchema(ValueDomain(0, 14));
   options.memtable_max_entries = 100;
   options.wal = true;
-  options.shared_wal = true;
   return options;
 }
 
@@ -710,7 +719,11 @@ TEST_F(WalTest, SharedWalRecoversEveryIndexFromOneLog) {
     }
     ASSERT_TRUE(dataset->Delete(7).ok());
   }  // crash before any flush
-  auto dataset = Dataset::Open(SharedWalDatasetOptions(dir_)).value();
+  // Reopen with the WAL off: recovery still replays what the earlier run
+  // logged, so turning the log off never drops records.
+  DatasetOptions reopen = SharedWalDatasetOptions(dir_);
+  reopen.wal = false;
+  auto dataset = Dataset::Open(reopen).value();
   ASSERT_TRUE(dataset->Get(3).ok());
   EXPECT_EQ(dataset->Get(7).status().code(), StatusCode::kNotFound);
   // The secondary index recovered in lockstep from the same log (pk 7 had
@@ -730,7 +743,6 @@ TEST_F(WalTest, SharedWalSurvivesPowerLossUnderEveryRecordSync) {
     DatasetOptions options = SharedWalDatasetOptions(dir_);
     options.env = &env;
     options.wal_sync_mode = WalSyncMode::kEveryRecord;
-    options.wal_group_commit = true;
     return options;
   };
   {
@@ -767,6 +779,50 @@ TEST_F(WalTest, SharedWalSegmentsAwaitAllTreesFlushing) {
   record.pk = 2;
   ASSERT_TRUE(dataset->Insert(record).ok());
   EXPECT_EQ(WalFiles().size(), 1u);
+}
+
+TEST_F(WalTest, SharedWalSegmentsStayBoundedWithoutBarriers) {
+  // A dataset that only ingests never reaches Flush() or
+  // WaitForBackgroundWork(); each scheduler-mode rotation seals a segment,
+  // and the sealed ones must still be reclaimed once every tree's flush has
+  // drained, or the log grows without bound.
+  BackgroundScheduler scheduler(2);
+  DatasetOptions options = SharedWalDatasetOptions(dir_);
+  options.memtable_max_entries = 512;
+  options.wal_sync_mode = WalSyncMode::kFlushOnly;
+  options.scheduler = &scheduler;
+  auto dataset = Dataset::Open(options).value();
+  LsmTree* trees[] = {dataset->primary(),
+                      dataset->secondary(kTweetMetricField)};
+  constexpr int64_t kRecords = 20000;
+  for (int64_t pk = 0; pk < kRecords; ++pk) {
+    Record record;
+    record.pk = pk;
+    record.fields = {pk % 15, 0};
+    ASSERT_TRUE(dataset->Insert(record).ok());
+    if ((pk + 1) % 5000 != 0) continue;
+    // Segments legitimately back a flush backlog, so let the workers drain
+    // it (without a dataset barrier); the next write then finds every
+    // sealed segment flushed past.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (LsmTree* tree : trees) {
+      while (tree->ImmutableMemTableCount() != 0) {
+        ASSERT_TRUE(tree->BackgroundError().ok())
+            << tree->BackgroundError().ToString();
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "background flushes did not drain";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    record.pk = kRecords + pk;
+    ASSERT_TRUE(dataset->Insert(record).ok());
+    // What remains is the active segment, plus one sealed by this write if
+    // it filled the memtable.
+    EXPECT_LE(WalFiles().size(), 2u) << "after " << pk + 1 << " inserts";
+  }
+  ASSERT_TRUE(dataset->WaitForBackgroundWork().ok());
+  EXPECT_EQ(dataset->CountAll().value(), static_cast<uint64_t>(kRecords + 4));
 }
 
 // --------------------------------------------------- dataset batch mutations
@@ -810,7 +866,6 @@ TEST_F(WalTest, AckedPutBatchRecoversAtomicallyAcrossAllIndexes) {
     DatasetOptions options = SharedWalDatasetOptions(dir_);
     options.env = &env;
     options.wal_sync_mode = WalSyncMode::kEveryRecord;
-    options.wal_group_commit = true;
     return options;
   };
   {
@@ -860,29 +915,24 @@ TEST_F(WalTest, DeleteBatchRemovesEveryRecordAtomically) {
 }
 
 TEST_F(WalTest, DatasetBatchesWorkWithoutSharedWal) {
-  // The batch API is independent of the WAL configuration: per-tree logs
-  // split the batch into one atomic frame per tree, and with the WAL off it
-  // is simply a grouped apply.
-  for (bool wal : {false, true}) {
-    std::string subdir = dir_ + (wal ? "/wal" : "/nowal");
-    std::filesystem::create_directories(subdir);
-    DatasetOptions options = SharedWalDatasetOptions(subdir);
-    options.shared_wal = false;
-    options.wal = wal;
-    auto dataset = Dataset::Open(options).value();
-    std::vector<Record> records;
-    for (int64_t pk = 0; pk < 5; ++pk) {
-      Record record;
-      record.pk = pk;
-      record.fields = {pk % 5, 0};
-      records.push_back(record);
-    }
-    ASSERT_TRUE(dataset->PutBatch(records).ok());
-    EXPECT_EQ(dataset->CountAll().value(), 5u);
-    ASSERT_TRUE(dataset->DeleteBatch({1, 3}).ok());
-    EXPECT_EQ(dataset->CountAll().value(), 3u);
-    EXPECT_EQ(dataset->CountRange(kTweetMetricField, 0, 14).value(), 3u);
+  // The batch API does not depend on the WAL: with the log off a batch is
+  // simply a grouped apply.
+  DatasetOptions options = SharedWalDatasetOptions(dir_);
+  options.wal = false;
+  auto dataset = Dataset::Open(options).value();
+  std::vector<Record> records;
+  for (int64_t pk = 0; pk < 5; ++pk) {
+    Record record;
+    record.pk = pk;
+    record.fields = {pk % 5, 0};
+    records.push_back(record);
   }
+  ASSERT_TRUE(dataset->PutBatch(records).ok());
+  EXPECT_EQ(dataset->CountAll().value(), 5u);
+  ASSERT_TRUE(dataset->DeleteBatch({1, 3}).ok());
+  EXPECT_EQ(dataset->CountAll().value(), 3u);
+  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 0, 14).value(), 3u);
+  EXPECT_TRUE(WalFiles().empty());
 }
 
 }  // namespace

@@ -42,7 +42,9 @@ TEST(Distribution, InvariantsHoldForAllCombinations) {
       EXPECT_EQ(dist.total_records(), 20000u);
       // Values strictly increasing and inside the domain.
       for (size_t i = 0; i < dist.values().size(); ++i) {
-        if (i > 0) EXPECT_LT(dist.values()[i - 1], dist.values()[i]);
+        if (i > 0) {
+          EXPECT_LT(dist.values()[i - 1], dist.values()[i]);
+        }
         EXPECT_TRUE(dist.spec().domain.Contains(dist.values()[i]));
       }
       // All frequencies positive.

@@ -30,11 +30,6 @@ clang-tidy is unavailable:
                  abstraction so fault injection and crash tests see every
                  mutation. Socket-style `::read`/`::write`/`::close` are
                  not banned (the workload feed uses them on sockets).
-  block-layer    no `ChecksummedDataFile` references outside
-                 src/lsm/disk_component.cc and src/lsm/format/ — raw
-                 data-region reads bypass block framing, per-block CRC
-                 verification, and the shared block cache; readers must go
-                 through DiskComponent / the block layer.
   wal-io         no `.wal` string literals in src/ outside src/lsm/wal.cc —
                  WAL segment naming, framing, and file access are confined
                  to the WAL module so the log format has exactly one
@@ -285,26 +280,6 @@ def check_env_bypass(path: Path, raw_lines: list[str], code_lines: list[str]) ->
                    "through common/env.h so fault injection sees it")
 
 
-# --------------------------------------------------------------- block-layer
-
-BLOCK_LAYER_RE = re.compile(r"\bChecksummedDataFile\b")
-
-# The only places allowed to touch the raw checksummed data region: the
-# component reader that wraps it and the block format layer itself.
-BLOCK_LAYER_FILES = {SRC / "lsm" / "disk_component.cc"}
-
-
-def check_block_layer(path: Path, raw_lines: list[str], code_lines: list[str]) -> None:
-    if path in BLOCK_LAYER_FILES or SRC / "lsm" / "format" in path.parents:
-        return
-    for idx, code in enumerate(code_lines):
-        if BLOCK_LAYER_RE.search(code) and not allowed(raw_lines[idx], "block-layer"):
-            report(path, idx + 1, "block-layer",
-                   "`ChecksummedDataFile` outside the block layer — read "
-                   "component data through DiskComponent so block CRCs and "
-                   "the block cache stay on the path")
-
-
 # -------------------------------------------------------------------- wal-io
 
 # A string literal mentioning the `.wal` suffix. Scanned over RAW lines (the
@@ -522,7 +497,6 @@ def main() -> int:
         raw, code = lines_of(path)
         check_include_cc(path, raw, code)
         check_void_drop(path, raw, code)
-        check_block_layer(path, raw, code)
     for path in src_only:
         raw, code = lines_of(path)
         check_raw_new_delete(path, raw, code)
