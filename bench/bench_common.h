@@ -134,13 +134,13 @@ class StatsRig {
     size_t budget;
   };
 
-  // `compression` other than "" overrides the component codec ("none",
-  // "delta", ...); `block_cache_mb` > 0 gives the rig's tree a private block
-  // cache. The defaults leave the paper-figure runs bit-identical.
+  // `compression` names the component codec ("none", "delta", ...);
+  // `block_cache_mb` > 0 gives the rig's tree a private block cache. The
+  // defaults leave the paper-figure runs bit-identical.
   StatsRig(const std::string& directory, const ValueDomain& domain,
            const std::vector<SynopsisSlot>& slots,
            std::shared_ptr<MergePolicy> policy, uint64_t memtable_entries,
-           const std::string& compression = "",
+           const std::string& compression = "none",
            uint64_t block_cache_mb = 0)
       : sink_(&catalog_), estimator_(&catalog_, {}) {
     LsmTreeOptions options;
@@ -148,11 +148,7 @@ class StatsRig {
     options.name = "rig";
     options.memtable_max_entries = memtable_entries;
     options.merge_policy = std::move(policy);
-    if (!compression.empty()) {
-      ComponentWriteOptions write_options = EnvironmentWriteOptions();
-      write_options.compression = compression;
-      options.write_options = write_options;
-    }
+    options.write_options.compression = compression;
     if (block_cache_mb > 0) {
       cache_ = std::make_unique<BlockCache>(block_cache_mb << 20);
       options.block_cache = cache_.get();

@@ -37,9 +37,9 @@ std::vector<SynopsisType> AllModes() {
 // --wal_sync=none|flush-only|every-record) the durability cost of the
 // write-ahead log, on top.
 struct StorageConfig {
-  std::string compression;
+  std::string compression = "none";
   uint64_t block_cache_mb = 0;
-  int wal = -1;  // -1 = unset (environment default), 0 = off, 1 = on
+  int wal = -1;  // -1 = unset (default: off), 0 = off, 1 = on
   std::string wal_sync;
   // --merge_policy=nomerge|constant|prefix|tiered|leveled|partitioned
   // swaps the compaction policy every dataset runs under; empty keeps the
@@ -154,7 +154,7 @@ void Run(const Flags& flags) {
   const uint64_t memtable_entries = flags.GetU64("memtable", 4096);
   const std::string mode = flags.GetString("mode", "all");
   StorageConfig storage;
-  storage.compression = flags.GetString("compression", "");
+  storage.compression = flags.GetString("compression", "none");
   storage.block_cache_mb = flags.GetU64("block_cache_mb", 0);
   storage.wal = static_cast<int>(
       flags.GetU64("wal", static_cast<uint64_t>(-1)));
@@ -175,12 +175,11 @@ void Run(const Flags& flags) {
   std::printf("Figure 2: ingestion time (records=%" PRIu64
               ", ~%zu B payloads, %zu-element synopses)\n",
               records, payload, budget);
-  if (!storage.compression.empty() || storage.block_cache_mb > 0 ||
+  if (storage.compression != "none" || storage.block_cache_mb > 0 ||
       storage.wal >= 0) {
     std::printf("storage: compression=%s block_cache=%" PRIu64
                 "MiB wal=%s sync=%s\n",
-                storage.compression.empty() ? "none"
-                                            : storage.compression.c_str(),
+                storage.compression.c_str(),
                 storage.block_cache_mb,
                 storage.wal > 0 ? "on" : "off",
                 storage.wal_sync.empty() ? "flush-only"

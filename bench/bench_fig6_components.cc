@@ -29,7 +29,7 @@ void Run(const Flags& flags) {
       flags.GetString("frequencies", "Uniform"));
   LSMSTATS_CHECK_OK(frequency.status());
   // Storage knobs; the defaults reproduce the paper figure bit-for-bit.
-  const std::string compression = flags.GetString("compression", "");
+  const std::string compression = flags.GetString("compression", "none");
   const uint64_t block_cache_mb = flags.GetU64("block_cache_mb", 0);
   const std::vector<size_t> component_counts = {8, 16, 32, 64, 128};
 

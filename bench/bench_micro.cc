@@ -237,7 +237,7 @@ void BM_ComponentGet(benchmark::State& state, bool cached) {
   DiskComponentReadOptions read_options;
   if (cached) read_options.block_cache = &cache;
   DiskComponentBuilder builder(nullptr, dir + "/c.cmp", kEntries,
-                               EnvironmentWriteOptions(), read_options);
+                               ComponentWriteOptions{}, read_options);
   for (int64_t k = 0; k < kEntries; ++k) {
     benchmark::DoNotOptimize(
         builder.Add(Entry{SecondaryKey(k, k), "", false}));

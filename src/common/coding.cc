@@ -18,7 +18,7 @@ void Encoder::PutString(std::string_view s) {
 Status Decoder::GetVarint64(uint64_t* v) {
   uint64_t result = 0;
   for (int shift = 0; shift <= 63; shift += 7) {
-    uint8_t byte;
+    uint8_t byte = 0;
     LSMSTATS_RETURN_IF_ERROR(GetU8(&byte));
     // The 10th byte can only contribute bit 63; anything above that would
     // shift out of the result and decode to a silently wrong value.

@@ -54,7 +54,7 @@ class Decoder {
   [[nodiscard]] Status GetU64(uint64_t* v) { return GetFixed(v, sizeof(*v)); }
   [[nodiscard]]
   Status GetI64(int64_t* v) {
-    uint64_t u;
+    uint64_t u = 0;
     LSMSTATS_RETURN_IF_ERROR(GetU64(&u));
     *v = static_cast<int64_t>(u);
     return Status::OK();

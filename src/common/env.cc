@@ -1,7 +1,5 @@
 #include "common/env.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,30 +7,6 @@
 namespace lsmstats {
 
 namespace {
-
-uint64_t EnvironmentUint64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
-
-// Deterministic transient-fault hook for the forced-fault CI leg: with
-// LSMSTATS_FAULT_FREE_PROBE=N (and LSMSTATS_FAULT_SEED offsetting the
-// phase), every Nth free-space probe reports zero bytes free. Combined with
-// LSMSTATS_MIN_FREE_BYTES=1 this makes a deterministic fraction of
-// flush/merge attempts fail with a retryable IOError BEFORE any byte is
-// written, driving the transient-retry and auto-recovery paths through the
-// whole tier-1 suite. Off (0) outside that leg.
-uint64_t EnvironmentFaultFreeProbeEvery() {
-  static const uint64_t every =
-      EnvironmentUint64("LSMSTATS_FAULT_FREE_PROBE", 0);
-  return every;
-}
-
-uint64_t EnvironmentFaultSeed() {
-  static const uint64_t seed = EnvironmentUint64("LSMSTATS_FAULT_SEED", 0);
-  return seed;
-}
 
 // --------------------------------------------------------------- PosixEnv
 
@@ -69,12 +43,6 @@ class PosixEnv : public Env {
     return internal::PosixListDir(path, names);
   }
   StatusOr<uint64_t> GetFreeSpace(const std::string& path) override {
-    uint64_t every = EnvironmentFaultFreeProbeEvery();
-    if (every != 0) {
-      static std::atomic<uint64_t> probes{0};
-      uint64_t n = probes.fetch_add(1, std::memory_order_relaxed) + 1;
-      if ((n + EnvironmentFaultSeed()) % every == 0) return 0;
-    }
     return internal::PosixGetFreeSpace(path);
   }
 };
@@ -84,17 +52,6 @@ class PosixEnv : public Env {
 Env* Env::Default() {
   static PosixEnv* env = new PosixEnv();  // lint:allow(raw-new) leaked process-wide singleton
   return env;
-}
-
-uint64_t EnvironmentMinFreeBytes() {
-  static const uint64_t bytes = EnvironmentUint64("LSMSTATS_MIN_FREE_BYTES", 0);
-  return bytes;
-}
-
-int EnvironmentFlushRetryFloor() {
-  static const int retries =
-      static_cast<int>(EnvironmentUint64("LSMSTATS_FLUSH_RETRIES", 0));
-  return retries;
 }
 
 std::string DirectoryOf(const std::string& path) {

@@ -72,7 +72,9 @@ class Env {
   // disk-space watchdog (LsmTree/WalLog) consults this before starting a
   // flush, merge, or WAL segment so the engine can degrade gracefully BEFORE
   // half-written files appear. The base default reports "unlimited" so an
-  // Env that cannot answer never trips the watchdog by accident.
+  // Env that cannot answer never trips the watchdog by accident. PosixEnv
+  // always reports the real filesystem; tests simulate a full disk with
+  // FaultInjectionEnv::SetFreeSpaceBudget.
   [[nodiscard]] virtual StatusOr<uint64_t> GetFreeSpace(
       const std::string& path) {
     (void)path;
@@ -83,18 +85,6 @@ class Env {
 // Directory part of `path` ("." when it has no separator) — for SyncDir after
 // sealing a file into that directory.
 std::string DirectoryOf(const std::string& path);
-
-// Environment overrides for the error-handling/watchdog knobs, read once per
-// process (same idiom as EnvironmentWalEnabled in src/lsm/wal.cc). They let
-// CI force the degradation/recovery machinery onto the whole tier-1 suite
-// without touching per-test options; defaults leave behavior unchanged.
-//
-// LSMSTATS_MIN_FREE_BYTES — free-space floor applied to trees that don't set
-// LsmTreeOptions::min_free_bytes explicitly (0 = watchdog off).
-uint64_t EnvironmentMinFreeBytes();
-// LSMSTATS_FLUSH_RETRIES — floor on background flush/merge transient retries
-// applied on top of LsmTreeOptions::background_flush_retries (0 = no floor).
-int EnvironmentFlushRetryFloor();
 
 // Env test double injecting deterministic filesystem faults.
 //

@@ -17,14 +17,28 @@ constexpr char kPrimaryKeyField[] = "_pk";
 
 Dataset::Dataset(DatasetOptions options) : options_(std::move(options)) {}
 
+Dataset::~Dataset() {
+  // Arbiter rebalances call into the trees; the trees' background jobs call
+  // into the collectors (declared after the trees, so destroyed before
+  // them by default) and, through the pressure hook, into the arbiter. So:
+  // stop the arbiter's rebalances, then destroy the trees — each wakes and
+  // waits out its own jobs — while the collectors and the arbiter are still
+  // alive.
+  if (arbiter_ != nullptr) arbiter_->Shutdown();
+  composite_trees_.clear();
+  secondaries_.clear();
+  primary_.reset();
+}
+
 StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
   if (options.synopsis_type != SynopsisType::kNone &&
       options.sink == nullptr) {
     return Status::InvalidArgument(
         "DatasetOptions.sink is required when statistics are enabled");
   }
-  if (!options.merge_policy) {
-    options.merge_policy = EnvironmentMergePolicy();
+  if (CodecByName(options.compression) == nullptr) {
+    return Status::InvalidArgument("unknown compression codec: " +
+                                   options.compression);
   }
   if (!options.merge_policy) {
     options.merge_policy = std::make_shared<NoMergePolicy>();
@@ -40,26 +54,15 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
     dataset->options_.block_cache =
         std::make_shared<BlockCache>(dataset->options_.block_cache_mb << 20);
   }
-  std::optional<ComponentWriteOptions> write_options;
-  if (!opts.compression.empty()) {
-    ComponentWriteOptions resolved = EnvironmentWriteOptions();
-    resolved.compression = opts.compression;
-    if (CodecByName(resolved.compression) == nullptr) {
-      return Status::InvalidArgument("unknown compression codec: " +
-                                     resolved.compression);
-    }
-    write_options = resolved;
-  }
   dataset->env_ = opts.env != nullptr ? opts.env : Env::Default();
   auto apply_storage_options = [&](LsmTreeOptions& tree_opts) {
-    tree_opts.write_options = write_options;
+    tree_opts.write_options.compression = opts.compression;
     tree_opts.block_cache = opts.block_cache.get();
     tree_opts.min_free_bytes = opts.min_free_bytes;
-    // The dataset's shared log is the only log; the explicit false overrides
-    // any environment forcing (LSMSTATS_WAL=1) so a logical record is never
-    // logged twice. A tree still replays segments of its own that an older
-    // per-tree-log release left behind, and deletes them once they flush.
-    tree_opts.wal = false;
+    // tree_opts.wal stays off: the dataset's shared log is the only log, so
+    // a logical record is never logged twice. A tree still replays segments
+    // of its own that an older per-tree-log release left behind, and deletes
+    // them once they flush.
   };
 
   // Primary index. The dataset coordinates flushes itself so the trees run
@@ -193,29 +196,23 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
     // memtables; they stay on disk until those records rotate and flush.
     dataset->wal_recovered_ = std::move(recovery->live_segments);
 
-    if (opts.wal.has_value() ? *opts.wal : EnvironmentWalEnabled()) {
+    if (opts.wal) {
       WalLogOptions log_options;
       log_options.env = dataset->env_;
       log_options.directory = opts.directory;
       log_options.prefix = opts.name + "_wal";
-      log_options.sync_mode = opts.wal_sync_mode.has_value()
-                                  ? *opts.wal_sync_mode
-                                  : EnvironmentWalSyncMode();
+      log_options.sync_mode = opts.wal_sync_mode;
       log_options.next_sequence = recovery->next_sequence;
-      // Explicit floor only: the env override stays a background-path knob
-      // and never turns WAL segment rotation into a Put-visible error.
-      log_options.min_free_bytes = opts.min_free_bytes.value_or(0);
+      log_options.min_free_bytes = opts.min_free_bytes;
       dataset->wal_ = std::make_unique<WalLog>(std::move(log_options));
     }
   }
 
-  // Global memory budget: when one is configured (option, else env), stand
-  // up the arbiter and register every memory consumer. When none is, the
-  // arbiter is never constructed and no override atomic is ever written —
-  // every knob keeps its static value bit-identically.
-  const uint64_t total_mb = opts.total_memory_mb != 0
-                                ? opts.total_memory_mb
-                                : EnvironmentTotalMemoryMb();
+  // Global memory budget: when one is configured, stand up the arbiter and
+  // register every memory consumer. When none is, the arbiter is never
+  // constructed and no override atomic is ever written — every knob keeps
+  // its static value bit-identically.
+  const uint64_t total_mb = opts.total_memory_mb;
   if (total_mb > 0) {
     std::vector<LsmTree*> trees;
     trees.push_back(dataset->primary_.get());
@@ -233,9 +230,9 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
     MemoryArbiter* arbiter = dataset->arbiter_.get();
     for (LsmTree* tree : trees) {
       // Backpressure stalls and free-space trips fire with tree locks held;
-      // NotePressure is atomics-only, so the hook is safe there. The arbiter
-      // outlives the trees (declared last in the dataset), so the raw
-      // pointer cannot dangle.
+      // NotePressure is atomics-only, so the hook is safe there. ~Dataset
+      // destroys the trees before the arbiter, so the raw pointer cannot
+      // dangle.
       tree->SetPressureCallback([arbiter] { arbiter->NotePressure(); });
     }
     RegisterMemtableBudget(arbiter, trees);

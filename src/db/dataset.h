@@ -24,7 +24,6 @@
 #include <atomic>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,8 +64,7 @@ struct DatasetOptions {
   // Flush all indexes once the primary memtable holds this many records.
   uint64_t memtable_max_entries = 64 * 1024;
   bool auto_flush = true;
-  // Shared by all indexes. Null resolves to EnvironmentMergePolicy()
-  // (LSMSTATS_MERGE_POLICY), then to NoMerge — the paper-mode default.
+  // Shared by all indexes. Null means NoMerge — the paper-mode default.
   std::shared_ptr<MergePolicy> merge_policy;
   // When set, every index's flush/merge work runs on this scheduler: a full
   // memtable triggers a non-blocking rotation on all indexes, whose flushes
@@ -84,9 +82,8 @@ struct DatasetOptions {
   // null. Must outlive the dataset.
   Env* env = nullptr;
   // Compression codec name ("none", "delta", or a registered external codec)
-  // for every component this dataset writes. Empty keeps the format-layer
-  // default (LSMSTATS_COMPRESSION, else "none").
-  std::string compression;
+  // for every component this dataset writes. Open rejects an unknown name.
+  std::string compression = "none";
   // When > 0 and `block_cache` is null, Open creates one sharded BlockCache
   // of this many MiB shared by the primary, secondary, and composite trees —
   // a single read-memory budget for the whole dataset.
@@ -100,20 +97,17 @@ struct DatasetOptions {
   // every-record sync, fsynced — exactly once, as one atomic batch frame
   // whose entries carry tree ids. Recovery demultiplexes by tree id; a sealed
   // segment is reclaimed only after ALL trees have flushed past it. The index
-  // trees themselves never log. Unset defers to LSMSTATS_WAL /
-  // LSMSTATS_WAL_SYNC; see LsmTreeOptions.
-  std::optional<bool> wal;
-  std::optional<WalSyncMode> wal_sync_mode;
+  // trees themselves never log. Off by default; see LsmTreeOptions.
+  bool wal = false;
+  WalSyncMode wal_sync_mode = WalSyncMode::kFlushOnly;
   // Free-space watchdog floor applied to every index tree (flush/merge
   // refuse to start below it) and to WAL segment creation; see
-  // LsmTreeOptions::min_free_bytes. Unset defers to LSMSTATS_MIN_FREE_BYTES
-  // for the trees and disables the WAL probe.
-  std::optional<uint64_t> min_free_bytes;
+  // LsmTreeOptions::min_free_bytes. 0 (the default) turns it off.
+  uint64_t min_free_bytes = 0;
   // Global memory budget (MiB) arbitrated across the dataset's memtables,
   // block cache, bloom filters, and synopsis/estimator cache by a
-  // MemoryArbiter (see db/memory_arbiter.h). 0 defers to
-  // LSMSTATS_TOTAL_MEMORY_MB; when that is also unset no arbiter is
-  // constructed and every knob keeps its static value bit-identically.
+  // MemoryArbiter (see db/memory_arbiter.h). 0 (the default) constructs no
+  // arbiter, and every knob keeps its static value bit-identically.
   uint64_t total_memory_mb = 0;
 };
 
@@ -134,6 +128,10 @@ class Dataset {
  public:
   [[nodiscard]]
   static StatusOr<std::unique_ptr<Dataset>> Open(DatasetOptions options);
+
+  // Stops the arbiter, then destroys the index trees (each drains its
+  // background jobs) before the collectors they notify.
+  ~Dataset();
 
   Dataset(const Dataset&) = delete;
   Dataset& operator=(const Dataset&) = delete;
@@ -214,7 +212,7 @@ class Dataset {
   BlockCache* block_cache() const { return options_.block_cache.get(); }
 
   // The dataset's memory arbiter; null unless a total budget was configured
-  // (DatasetOptions::total_memory_mb or LSMSTATS_TOTAL_MEMORY_MB).
+  // (DatasetOptions::total_memory_mb).
   MemoryArbiter* memory_arbiter() const { return arbiter_.get(); }
 
   // Synopsis element budget after any live arbiter grant: the grant (bytes)
@@ -350,8 +348,8 @@ class Dataset {
   // arbiter). Atomic: written from rebalance (possibly a scheduler worker),
   // read on the ANALYZE path.
   std::atomic<size_t> effective_synopsis_budget_{0};
-  // Declared last: destroyed first, so a final scheduled rebalance drains
-  // while the trees/cache/estimator callbacks still point at live objects.
+  // Shut down by ~Dataset before the trees die and destroyed after them, so
+  // neither side's callbacks ever reach a dead object.
   std::unique_ptr<MemoryArbiter> arbiter_;
 };
 

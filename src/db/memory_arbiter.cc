@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "common/check.h"
@@ -40,7 +39,9 @@ MemoryArbiter::MemoryArbiter(uint64_t total_bytes,
   LSMSTATS_CHECK(total_bytes_ > 0);
 }
 
-MemoryArbiter::~MemoryArbiter() {
+MemoryArbiter::~MemoryArbiter() { Shutdown(); }
+
+void MemoryArbiter::Shutdown() {
   MutexLock lock(&mu_);
   shutting_down_ = true;
   cv_.Wait(&mu_, [this]() REQUIRES(mu_) { return tasks_in_flight_ == 0; });
@@ -362,16 +363,6 @@ const MemoryArbiter::MemoryBudget* RegisterEstimatorBudget(
     estimator->SetCacheByteBudget(grant);
   };
   return arbiter->Register(std::move(reg));
-}
-
-uint64_t EnvironmentTotalMemoryMb() {
-  static const uint64_t mb = [] {
-    const char* value =
-        std::getenv("LSMSTATS_TOTAL_MEMORY_MB");  // NOLINT(concurrency-mt-unsafe)
-    if (value == nullptr || value[0] == '\0') return uint64_t{0};
-    return static_cast<uint64_t>(std::strtoull(value, nullptr, 10));
-  }();
-  return mb;
 }
 
 }  // namespace lsmstats

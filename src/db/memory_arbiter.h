@@ -115,13 +115,19 @@ class MemoryArbiter {
   MemoryArbiter(const MemoryArbiter&) = delete;
   MemoryArbiter& operator=(const MemoryArbiter&) = delete;
 
-  // Waits for any in-flight scheduled rebalance.
+  // Calls Shutdown().
   ~MemoryArbiter();
 
+  // Stops scheduling rebalances and waits for any in-flight one. No
+  // registered callback runs afterwards, so the components may then be
+  // destroyed before the arbiter. Idempotent.
+  void Shutdown() EXCLUDES(mu_);
+
   // Registers a component. The returned handle is valid until the arbiter
-  // is destroyed; every callback must remain callable that long (i.e. the
-  // component must outlive the arbiter). Does not rebalance by itself —
-  // call Rebalance() once registrations are complete.
+  // is destroyed; every callback must remain callable until Shutdown()
+  // (i.e. the component must outlive the arbiter or its shutdown). Does not
+  // rebalance by itself — call Rebalance() once registrations are
+  // complete.
   const MemoryBudget* Register(Registration registration) EXCLUDES(mu_);
 
   // Recomputes every grant (deterministic water-filling, see file comment)
@@ -204,10 +210,6 @@ const MemoryArbiter::MemoryBudget* RegisterBloomBudget(
 const MemoryArbiter::MemoryBudget* RegisterEstimatorBudget(
     MemoryArbiter* arbiter, CardinalityEstimator* estimator,
     const StatisticsCatalog* catalog);
-
-// LSMSTATS_TOTAL_MEMORY_MB, read once; 0 when unset/empty/zero. How CI
-// forces an arbiter onto every dataset the tier-1 suite opens.
-uint64_t EnvironmentTotalMemoryMb();
 
 }  // namespace lsmstats
 

@@ -87,7 +87,7 @@ Status DecodeEntry(Decoder* dec, Entry* out) {
   LSMSTATS_RETURN_IF_ERROR(dec->GetI64(&out->key.k0));
   LSMSTATS_RETURN_IF_ERROR(dec->GetI64(&out->key.k1));
   LSMSTATS_RETURN_IF_ERROR(dec->GetI64(&out->key.k2));
-  uint8_t flags;
+  uint8_t flags = 0;
   LSMSTATS_RETURN_IF_ERROR(dec->GetU8(&flags));
   out->anti_matter = (flags & 1) != 0;
   return dec->GetString(&out->value);

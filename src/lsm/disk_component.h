@@ -93,7 +93,7 @@ class DiskComponentBuilder {
   // `read_options` is forwarded to the Open that Finish() returns.
   DiskComponentBuilder(
       Env* env, std::string path, uint64_t expected_entries,
-      ComponentWriteOptions write_options = EnvironmentWriteOptions(),
+      ComponentWriteOptions write_options = ComponentWriteOptions{},
       DiskComponentReadOptions read_options = DiskComponentReadOptions());
 
   DiskComponentBuilder(const DiskComponentBuilder&) = delete;

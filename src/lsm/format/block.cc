@@ -1,26 +1,10 @@
 #include "lsm/format/block.h"
 
-#include <cstdlib>
-
 #include "common/check.h"
 #include "common/coding.h"
 #include "common/crc32c.h"
 
 namespace lsmstats {
-
-const ComponentWriteOptions& EnvironmentWriteOptions() {
-  static const ComponentWriteOptions* options = [] {
-    auto* resolved = new ComponentWriteOptions();
-    // Read once under the function-local static's init lock; nothing in this
-    // process calls setenv, so the unsynchronized-environ hazard does not apply.
-    const char* codec = std::getenv("LSMSTATS_COMPRESSION");  // NOLINT(concurrency-mt-unsafe)
-    if (codec != nullptr && codec[0] != '\0') {
-      resolved->compression = codec;
-    }
-    return resolved;
-  }();
-  return *options;
-}
 
 BlockBuilder::BlockBuilder(const CompressionCodec* codec, uint64_t block_size)
     : codec_(codec), block_size_(block_size) {

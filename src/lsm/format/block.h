@@ -29,7 +29,8 @@
 
 namespace lsmstats {
 
-// Writer-side knobs for new component files.
+// Writer-side knobs for new component files. The defaults keep paper-mode
+// component files bit-identical.
 struct ComponentWriteOptions {
   // Codec for data blocks, by registry name ("none", "delta"). Blocks the
   // codec cannot shrink are stored raw regardless.
@@ -43,12 +44,6 @@ struct ComponentWriteOptions {
   // block reads, less resident memory).
   int bloom_bits_per_key = 10;
 };
-
-// Write options resolved from the process environment, used wherever options
-// are left unset: LSMSTATS_COMPRESSION overrides `compression`. This is how
-// CI forces the non-default codec through the whole tier-1 suite without
-// touching every call site; unset variables leave the defaults bit-identical.
-const ComponentWriteOptions& EnvironmentWriteOptions();
 
 // Frames raw entry bytes into stored blocks.
 class BlockBuilder {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 namespace lsmstats {
 
@@ -147,20 +146,6 @@ BlockCache::Stats BlockCache::GetStats() const {
 uint64_t NewBlockCacheFileId() {
   static std::atomic<uint64_t> next_id{1};
   return next_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-BlockCache* EnvironmentBlockCache() {
-  static BlockCache* const cache = []() -> BlockCache* {
-    // Read once under the function-local static's init lock; nothing in this
-    // process calls setenv, so the unsynchronized-environ hazard does not apply.
-    const char* mb_text = std::getenv("LSMSTATS_BLOCK_CACHE_MB");  // NOLINT(concurrency-mt-unsafe)
-    if (mb_text == nullptr || mb_text[0] == '\0') return nullptr;
-    uint64_t mb = std::strtoull(mb_text, nullptr, 10);
-    if (mb == 0) return nullptr;
-    // lint:allow(raw-new) intentionally leaked process-wide forced cache
-    return new BlockCache(mb << 20);  // lint:allow(raw-new) leaked registry
-  }();
-  return cache;
 }
 
 }  // namespace lsmstats

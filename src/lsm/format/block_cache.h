@@ -123,11 +123,6 @@ class BlockCache {
 // Mints a process-unique cache file id for a newly opened component.
 uint64_t NewBlockCacheFileId();
 
-// The cache forced by LSMSTATS_BLOCK_CACHE_MB for trees configured without
-// one, or null when the variable is unset/zero. Lets CI push every tier-1
-// test through the cache without touching call sites.
-BlockCache* EnvironmentBlockCache();
-
 }  // namespace lsmstats
 
 #endif  // LSMSTATS_LSM_FORMAT_BLOCK_CACHE_H_

@@ -95,7 +95,7 @@ class DeltaVarintCodec : public CompressionCodec {
       uint64_t d0;
       uint64_t d1;
       uint64_t d2;
-      uint8_t flags;
+      uint8_t flags = 0;
       std::string value;
       LSMSTATS_RETURN_IF_ERROR(dec.GetVarint64(&d0));
       LSMSTATS_RETURN_IF_ERROR(dec.GetVarint64(&d1));

@@ -27,29 +27,10 @@ const char* TreeModeToString(TreeMode mode) {
 LsmTree::LsmTree(LsmTreeOptions options)
     : options_(std::move(options)),
       env_(options_.env != nullptr ? options_.env : Env::Default()),
-      write_options_(options_.write_options.has_value()
-                         ? *options_.write_options
-                         : EnvironmentWriteOptions()),
-      block_cache_(options_.block_cache != nullptr ? options_.block_cache
-                                                   : EnvironmentBlockCache()),
-      memtable_(std::make_unique<MemTable>()),
-      wal_enabled_(options_.wal.has_value() ? *options_.wal
-                                            : EnvironmentWalEnabled()),
-      wal_sync_mode_(options_.wal_sync_mode.has_value()
-                         ? *options_.wal_sync_mode
-                         : EnvironmentWalSyncMode()) {
-  if (!options_.merge_policy) {
-    options_.merge_policy = EnvironmentMergePolicy();
-  }
+      memtable_(std::make_unique<MemTable>()) {
   if (!options_.merge_policy) {
     options_.merge_policy = std::make_shared<NoMergePolicy>();
   }
-  min_free_bytes_ =
-      options_.min_free_bytes.value_or(EnvironmentMinFreeBytes());
-  // The environment can raise (never lower) the transient-retry count so a
-  // CI leg can inject faults under the whole suite without reds.
-  flush_retries_ =
-      std::max(options_.background_flush_retries, EnvironmentFlushRetryFloor());
 }
 
 LsmTree::~LsmTree() {
@@ -71,9 +52,9 @@ StatusOr<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
     return Status::InvalidArgument("LsmTreeOptions.directory is required");
   }
   auto tree = std::unique_ptr<LsmTree>(new LsmTree(std::move(options)));
-  if (CodecByName(tree->write_options_.compression) == nullptr) {
+  if (CodecByName(tree->options_.write_options.compression) == nullptr) {
     return Status::InvalidArgument("unknown compression codec: " +
-                                   tree->write_options_.compression);
+                                   tree->options_.write_options.compression);
   }
   Env* env = tree->env_;
   // Recovery mutates guarded members (component stack, WAL bookkeeping).
@@ -217,7 +198,7 @@ StatusOr<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
     std::string path = tree->ComponentPath(entry.id);
     auto component = DiskComponent::Open(
         env, path, entry.id, i + 1,
-        DiskComponentReadOptions{tree->block_cache_}, entry.level);
+        DiskComponentReadOptions{tree->options_.block_cache}, entry.level);
     Status open_status = component.status();
     if (open_status.ok() && tree->options_.paranoid_recovery_checks) {
       open_status = (*component)->VerifyBlockChecksums();
@@ -317,16 +298,14 @@ StatusOr<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
                         << tree->wal_legacy_segments_.size()
                         << " segment(s) into the memtable";
   }
-  if (tree->wal_enabled_) {
+  if (tree->options_.wal) {
     WalLogOptions log_options;
     log_options.env = env;
     log_options.directory = tree->options_.directory;
     log_options.prefix = tree->options_.name;
-    log_options.sync_mode = tree->wal_sync_mode_;
+    log_options.sync_mode = tree->options_.wal_sync_mode;
     log_options.next_sequence = wal_recovery->next_sequence;
-    // Explicit option only — the LSMSTATS_MIN_FREE_BYTES override must not
-    // turn env-injected watchdog trips into write errors on the Put path.
-    log_options.min_free_bytes = tree->options_.min_free_bytes.value_or(0);
+    log_options.min_free_bytes = tree->options_.min_free_bytes;
     tree->wal_log_ = std::make_unique<WalLog>(std::move(log_options));
   }
   return tree;
@@ -375,7 +354,7 @@ StatusOr<bool> LsmTree::RotateLocked() {
 
 StatusOr<uint64_t> LsmTree::WalAppendLocked(WalOp op, const LsmKey& key,
                                             std::string_view value) {
-  if (!wal_enabled_) return uint64_t{0};
+  if (!options_.wal) return uint64_t{0};
   return wal_log_->Append(op, key, value);
 }
 
@@ -473,7 +452,7 @@ Status LsmTree::Write(WriteBatch batch) {
   {
     MutexLock lock(&mu_);
     LSMSTATS_RETURN_IF_ERROR(WriteGateLocked());
-    if (wal_enabled_) {
+    if (options_.wal) {
       // One frame, one CRC: recovery replays the batch all-or-nothing.
       auto logged = wal_log_->AppendBatch(batch);
       LSMSTATS_RETURN_IF_ERROR(logged.status());
@@ -597,12 +576,12 @@ Status LsmTree::WriteComponent(
   // An arbiter bloom grant (0 = none) overrides the configured density for
   // components built from here on; serialization is size-independent, so the
   // on-disk format is unchanged.
-  ComponentWriteOptions effective_options = write_options_;
+  ComponentWriteOptions effective_options = options_.write_options;
   const int bloom_bits = bloom_bits_override_.load(std::memory_order_relaxed);
   if (bloom_bits != 0) effective_options.bloom_bits_per_key = bloom_bits;
   DiskComponentBuilder builder(env_, ComponentPath(id),
                                context.expected_records, effective_options,
-                               DiskComponentReadOptions{block_cache_});
+                               DiskComponentReadOptions{options_.block_cache});
   while (input->Valid()) {
     const Entry& entry = input->entry();
     Status s = builder.Add(entry);
@@ -870,12 +849,12 @@ Status LsmTree::NoteStructuralFailure(Status s) {
 }
 
 Status LsmTree::CheckFreeSpace(const char* what) const {
-  if (min_free_bytes_ == 0) return Status::OK();
+  if (options_.min_free_bytes == 0) return Status::OK();
   auto free = env_->GetFreeSpace(options_.directory);
   // A failed probe must not stop the engine; only a successful answer below
   // the floor counts as disk-full.
   if (!free.ok()) return Status::OK();
-  if (*free < min_free_bytes_) {
+  if (*free < options_.min_free_bytes) {
     // Lock-free by contract (see SetPressureCallback); the caller may hold
     // work_mu_, so no engine lock may be taken here.
     if (pressure_callback_) pressure_callback_();
@@ -883,7 +862,7 @@ Status LsmTree::CheckFreeSpace(const char* what) const {
                            " aborted by free-space watchdog: " +
                            std::to_string(*free) + " bytes free in " +
                            options_.directory + ", need " +
-                           std::to_string(min_free_bytes_));
+                           std::to_string(options_.min_free_bytes));
   }
   return Status::OK();
 }
@@ -893,7 +872,7 @@ Status LsmTree::RunWithTransientRetry(const char* what,
   Status s = body();
   for (int attempt = 0;
        !s.ok() && ClassifySeverity(s) == ErrorSeverity::kTransient &&
-       attempt < flush_retries_;
+       attempt < options_.background_flush_retries;
        ++attempt) {
     LSMSTATS_LOG(kWarning) << options_.name << ": " << what << " failed ("
                            << s.ToString() << "); retrying";
@@ -1140,7 +1119,14 @@ Status LsmTree::ForceFullMerge() {
   MergeDecision plan;
   {
     MutexLock lock(&mu_);
-    if (components_.size() < 2) return Status::OK();
+    // A lone component is rewritten only to drop anti-matter nothing older
+    // can match (deletes of records that WAL replay re-applied as non-fresh
+    // inserts); otherwise a full merge would copy it byte for byte.
+    if (components_.empty() ||
+        (components_.size() == 1 &&
+         components_.front()->metadata().anti_matter_count == 0)) {
+      return Status::OK();
+    }
     for (const auto& component : components_) {
       plan.input_ids.push_back(component->metadata().id);
       // Deepest input level, so a leveled stack collapses into its bottom
@@ -1189,14 +1175,6 @@ void LsmTree::ResolvePlanLocked(const MergeDecision& plan,
   }
   resolved->context.op = LsmOperation::kMerge;
   resolved->context.target_level = plan.target_level;
-
-  if (resolved->inputs.size() == 1) {
-    // A single-input plan must still change something: a split rewrite or a
-    // level move. Anything else would install a byte-identical copy forever.
-    LSMSTATS_CHECK(plan.output_split_bytes > 0 ||
-                   plan.target_level !=
-                       resolved->inputs.front()->metadata().level);
-  }
 
   auto is_input = [resolved](size_t pos) {
     return std::binary_search(resolved->positions.begin(),
@@ -1277,6 +1255,15 @@ void LsmTree::ResolvePlanLocked(const MergeDecision& plan,
     resolved->drop_anti_matter = !older_overlapping;
   }
   resolved->context.includes_oldest_component = resolved->drop_anti_matter;
+  if (resolved->inputs.size() == 1) {
+    // A single-input plan must still change something: a split rewrite, a
+    // level move, or dropping anti-matter. Anything else would install a
+    // byte-identical copy forever.
+    const ComponentMetadata& md = resolved->inputs.front()->metadata();
+    LSMSTATS_CHECK(plan.output_split_bytes > 0 ||
+                   plan.target_level != md.level ||
+                   (resolved->drop_anti_matter && md.anti_matter_count > 0));
+  }
 }
 
 Status LsmTree::PersistManifest(
@@ -1396,13 +1383,13 @@ Status LsmTree::ExecuteMergePlan(
 
     // Same bloom-grant override as WriteComponent: merge outputs built after
     // a rebalance use the granted density.
-    ComponentWriteOptions effective_options = write_options_;
+    ComponentWriteOptions effective_options = options_.write_options;
     const int bloom_bits =
         bloom_bits_override_.load(std::memory_order_relaxed);
     if (bloom_bits != 0) effective_options.bloom_bits_per_key = bloom_bits;
-    DiskComponentBuilder builder(env_, ComponentPath(id),
-                                 context.expected_records, effective_options,
-                                 DiskComponentReadOptions{block_cache_});
+    DiskComponentBuilder builder(
+        env_, ComponentPath(id), context.expected_records, effective_options,
+        DiskComponentReadOptions{options_.block_cache});
     uint64_t approx_bytes = 0;
     while (merged.Valid()) {
       const Entry& entry = merged.entry();

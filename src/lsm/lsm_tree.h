@@ -67,8 +67,7 @@ struct LsmTreeOptions {
   // When false, the caller drives flushes explicitly (paper §4.3.4 stages
   // ingestion with forced flushes to control anti-matter placement).
   bool auto_flush = true;
-  // Null resolves to EnvironmentMergePolicy() (LSMSTATS_MERGE_POLICY), and
-  // to NoMergePolicy when that is unset too — the paper-mode default.
+  // Null means NoMergePolicy — the paper-mode default.
   std::shared_ptr<MergePolicy> merge_policy;
   // When set, flush and merge jobs run on this scheduler's worker threads
   // and a full memtable rotates instead of blocking the writer. Must outlive
@@ -95,8 +94,7 @@ struct LsmTreeOptions {
   // common/error_taxonomy.h) is retried inline this many times (a failed
   // flush/merge leaves the immutable queue and component stack untouched, so
   // the retry re-runs cleanly) with exponential backoff starting here; the
-  // backoff wait is interruptible by shutdown. LSMSTATS_FLUSH_RETRIES can
-  // raise (never lower) the count for a whole test run. Inline flushes
+  // backoff wait is interruptible by shutdown. Inline flushes
   // report a persisting error to the caller; background jobs hand it to the
   // auto-recovery manager.
   int background_flush_retries = 1;
@@ -115,30 +113,25 @@ struct LsmTreeOptions {
   // IOError) while the tree directory's filesystem reports fewer free bytes
   // than this, so disk exhaustion degrades the tree BEFORE half-written
   // components appear — and auto-recovery resumes it when space returns.
-  // Unset resolves to EnvironmentMinFreeBytes() (LSMSTATS_MIN_FREE_BYTES,
-  // default 0 = off). An explicit value is also applied to WAL segment
-  // creation (the environment override is not — see WalLogOptions).
-  std::optional<uint64_t> min_free_bytes;
-  // Codec/block-size for components this tree writes. Unset resolves
-  // to EnvironmentWriteOptions() (codec from LSMSTATS_COMPRESSION or "none")
-  // at Open.
-  std::optional<ComponentWriteOptions> write_options;
+  // The same floor applies to WAL segment creation. 0 (the default) turns
+  // the watchdog off.
+  uint64_t min_free_bytes = 0;
+  // Codec/block-size for components this tree writes. The default ("none"
+  // codec, 4 KiB blocks) keeps paper-mode files bit-identical.
+  ComponentWriteOptions write_options;
   // Shared cache for decoded data blocks, typically owned by the Dataset so
   // all of its trees share one budget. Not owned; must outlive the tree.
-  // Null falls back to EnvironmentBlockCache() (usually also null =>
-  // uncached reads).
+  // Null means uncached reads.
   BlockCache* block_cache = nullptr;
   // Write-ahead log: when true, every Put/Delete/PutAntiMatter is appended
   // to this tree's own log segment before it touches the memtable, and Open()
-  // replays surviving segments (see lsm/wal.h). Unset resolves to
-  // EnvironmentWalEnabled() (LSMSTATS_WAL, default off — the paper runs stay
-  // bit-identical). Explicitly setting `false` overrides the environment.
-  std::optional<bool> wal;
-  // Durability granularity of the log; unset resolves to
-  // EnvironmentWalSyncMode() (LSMSTATS_WAL_SYNC, default flush-only). Under
-  // every-record sync, concurrent writers share fsyncs through the log's
-  // group commit (see lsm/wal.h, WalLog).
-  std::optional<WalSyncMode> wal_sync_mode;
+  // replays surviving segments (see lsm/wal.h). Off by default, so the paper
+  // runs stay bit-identical.
+  bool wal = false;
+  // Durability granularity of the log. Under every-record sync, concurrent
+  // writers share fsyncs through the log's group commit (see lsm/wal.h,
+  // WalLog).
+  WalSyncMode wal_sync_mode = WalSyncMode::kFlushOnly;
 };
 
 // Degradation state of a tree. Reads (Get/Scan/ScanCount and the statistics
@@ -276,7 +269,9 @@ class LsmTree {
   // Runs the merge policy until it makes no further decision.
   [[nodiscard]] Status MaybeMerge() EXCLUDES(work_mu_, mu_);
 
-  // Merges all disk components into one.
+  // Merges all disk components into one with every anti-matter entry
+  // reconciled away (a lone component is rewritten only if it carries
+  // anti-matter).
   [[nodiscard]] Status ForceFullMerge() EXCLUDES(work_mu_, mu_);
 
   // Blocks until all scheduled flush/merge jobs for this tree completed;
@@ -449,11 +444,13 @@ class LsmTree {
   // memtable, then runs the merge policy to quiescence.
   [[nodiscard]] Status DrainPendingWork() EXCLUDES(work_mu_, mu_);
   // Free-space watchdog probe for `what` ("flush"/"merge"): retryable
-  // IOError when the directory's filesystem is below min_free_bytes_. Probe
-  // failures never block — only a successful answer below the floor counts.
+  // IOError when the directory's filesystem is below
+  // options_.min_free_bytes. Probe failures never block — only a successful
+  // answer below the floor counts.
   [[nodiscard]] Status CheckFreeSpace(const char* what) const;
-  // Runs `body`, retrying transient failures up to flush_retries_ times with
-  // exponential backoff; the backoff wait is woken by shutdown. May be
+  // Runs `body`, retrying transient failures up to
+  // options_.background_flush_retries times with exponential backoff; the
+  // backoff wait is woken by shutdown. May be
   // called with work_mu_ held (the body sees the caller's locks).
   [[nodiscard]] Status RunWithTransientRetry(
       const char* what, const std::function<Status()>& body) EXCLUDES(mu_);
@@ -552,11 +549,6 @@ class LsmTree {
 
   LsmTreeOptions options_;
   Env* env_;  // options_.env or Env::Default(); never null
-  // Resolved from options_.write_options / options_.block_cache (environment
-  // defaults applied) at construction; immutable afterwards.
-  ComponentWriteOptions write_options_;
-  BlockCache* block_cache_ = nullptr;
-
   // Live memory-arbiter grants (0 = use the static knob) and the lifetime
   // flush counter. Atomics: written by the arbiter's rebalance thread, read
   // on write/flush paths without mu_.
@@ -611,15 +603,9 @@ class LsmTree {
   // Set by the destructor to wake retry backoffs and recovery waits so
   // teardown never stalls behind a sleep.
   bool shutting_down_ GUARDED_BY(mu_) = false;
-  // Resolved from options_/environment at construction; immutable after.
-  uint64_t min_free_bytes_ = 0;
-  int flush_retries_ = 0;
   // Written only during Open(), before the tree is shared (Open still takes
   // mu_ for the analysis's sake — it is uncontended there).
   std::vector<std::string> quarantined_files_ GUARDED_BY(mu_);
-  // WAL policy resolved from options_/environment at construction.
-  bool wal_enabled_ = false;
-  WalSyncMode wal_sync_mode_ = WalSyncMode::kFlushOnly;
   // The write-ahead log (null when the WAL is off). Internally synchronized
   // at rank kWalLog, which sits directly below mu_: appends and seals
   // happen under mu_, durability waits take only the log's own lock.

@@ -1,7 +1,6 @@
 #include "lsm/merge_policy.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.h"
 
@@ -266,18 +265,6 @@ std::shared_ptr<MergePolicy> MakeMergePolicyByName(const std::string& name) {
     return std::make_shared<LeveledMergePolicy>(options);
   }
   return nullptr;
-}
-
-std::shared_ptr<MergePolicy> EnvironmentMergePolicy() {
-  static const std::string kForced = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read once, before worker threads.
-    const char* value = std::getenv("LSMSTATS_MERGE_POLICY");
-    return std::string(value == nullptr ? "" : value);
-  }();
-  if (kForced.empty()) return nullptr;
-  std::shared_ptr<MergePolicy> policy = MakeMergePolicyByName(kForced);
-  LSMSTATS_CHECK(policy != nullptr);  // unknown LSMSTATS_MERGE_POLICY value
-  return policy;
 }
 
 }  // namespace lsmstats

@@ -178,13 +178,6 @@ bool ComponentRangesOverlap(const ComponentMetadata& a,
 // its default knobs. Returns null for unknown names.
 std::shared_ptr<MergePolicy> MakeMergePolicyByName(const std::string& name);
 
-// Process-wide policy override from LSMSTATS_MERGE_POLICY (parsed once, same
-// idiom as EnvironmentWalEnabled): lets CI legs force every tree the suite
-// opens through a non-default compaction schedule. Null when unset; aborts
-// on an unknown name. Trees consult this only when their options leave
-// merge_policy null, so explicit choices always win.
-std::shared_ptr<MergePolicy> EnvironmentMergePolicy();
-
 }  // namespace lsmstats
 
 #endif  // LSMSTATS_LSM_MERGE_POLICY_H_

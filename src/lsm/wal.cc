@@ -86,30 +86,6 @@ StatusOr<WalSyncMode> WalSyncModeFromString(std::string_view s) {
       "\" (expected none, flush-only, or every-record)");
 }
 
-bool EnvironmentWalEnabled() {
-  static const bool enabled = [] {
-    // Read once under the function-local static's init lock; nothing in this
-    // process calls setenv, so the unsynchronized-environ hazard does not apply.
-    const char* v = std::getenv("LSMSTATS_WAL");  // NOLINT(concurrency-mt-unsafe)
-    return v != nullptr && v[0] != '\0' && std::string_view(v) != "0";
-  }();
-  return enabled;
-}
-
-WalSyncMode EnvironmentWalSyncMode() {
-  static const WalSyncMode mode = [] {
-    // Read once under the function-local static's init lock; nothing in this
-    // process calls setenv, so the unsynchronized-environ hazard does not apply.
-    const char* v = std::getenv("LSMSTATS_WAL_SYNC");  // NOLINT(concurrency-mt-unsafe)
-    if (v == nullptr || v[0] == '\0') return WalSyncMode::kFlushOnly;
-    auto parsed = WalSyncModeFromString(v);
-    // A typo here would silently weaken a durability guarantee; refuse to run.
-    LSMSTATS_CHECK_OK(parsed.status());
-    return parsed.value();
-  }();
-  return mode;
-}
-
 std::string WalFilePath(const std::string& directory,
                         const std::string& prefix, uint64_t sequence) {
   return directory + "/" + prefix + "_" + std::to_string(sequence) +

@@ -88,15 +88,6 @@ enum class WalSyncMode {
 const char* WalSyncModeToString(WalSyncMode mode);
 [[nodiscard]] StatusOr<WalSyncMode> WalSyncModeFromString(std::string_view s);
 
-// WAL policy resolved from the process environment, used wherever
-// LsmTreeOptions::wal / wal_sync_mode are left unset: LSMSTATS_WAL=1 enables
-// the log and LSMSTATS_WAL_SYNC names the sync mode (default flush-only).
-// This is how CI forces the WAL through the whole tier-1 suite without
-// touching call sites; unset variables leave the defaults (WAL off)
-// bit-identical.
-bool EnvironmentWalEnabled();
-WalSyncMode EnvironmentWalSyncMode();
-
 // Logged operation kinds. Values are on-disk format; never renumber.
 enum class WalOp : uint8_t {
   kPut = 1,
@@ -170,9 +161,7 @@ struct WalLogOptions {
   // directory's filesystem reports at least this many free bytes, so a full
   // disk fails the triggering write fast instead of leaving a half-written
   // segment. 0 disables the probe. Wired from the tree/dataset options'
-  // explicit min_free_bytes only — never from the LSMSTATS_MIN_FREE_BYTES
-  // override — so env-forced CI legs don't turn watchdog trips into write
-  // errors surfaced to Put callers.
+  // min_free_bytes.
   uint64_t min_free_bytes = 0;
 };
 

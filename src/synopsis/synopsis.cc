@@ -48,7 +48,7 @@ bool SynopsisTypeIsMergeable(SynopsisType type) {
 }
 
 StatusOr<std::unique_ptr<Synopsis>> DecodeSynopsis(Decoder* dec) {
-  uint8_t type;
+  uint8_t type = 0;
   LSMSTATS_RETURN_IF_ERROR(dec->GetU8(&type));
   switch (static_cast<SynopsisType>(type)) {
     case SynopsisType::kEquiWidthHistogram: {

@@ -99,8 +99,7 @@ TEST_F(ClusterTest, StatisticsFlowOverTheWire) {
 TEST_F(ClusterTest, MergeRefreshesClusterCatalog) {
   DatasetOptions options = BaseOptions(SynopsisType::kEquiHeightHistogram, 64);
   // The pre-merge assertions count one catalog entry per flushed component,
-  // so background merging must stay off even when LSMSTATS_MERGE_POLICY
-  // forces a policy for the rest of the suite.
+  // so background merging must stay off.
   options.merge_policy = std::make_shared<NoMergePolicy>();
   auto cluster = Cluster::Start(2, dir_, std::move(options));
   ASSERT_TRUE(cluster.ok());

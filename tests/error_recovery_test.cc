@@ -62,22 +62,10 @@ TEST(ErrorTaxonomy, SeverityNames) {
 }
 
 TEST(ErrorTaxonomy, PosixFreeSpaceProbeAnswers) {
-  // A few probes: all must succeed, and (even under LSMSTATS_FAULT_FREE_PROBE,
-  // which zeroes at most one answer in any short run) most report real space.
-  uint64_t max_free = 0;
-  for (int i = 0; i < 3; ++i) {
-    auto free = Env::Default()->GetFreeSpace("/tmp");
-    ASSERT_TRUE(free.ok()) << free.status().ToString();
-    if (*free > max_free) max_free = *free;
-  }
-  EXPECT_GT(max_free, 0u);
-  // An LSMSTATS_FAULT_FREE_PROBE injection answers "0 bytes free" before the
-  // path is even examined, so one of two probes of a missing path may
-  // "succeed" — but never both in a row.
-  bool missing_path_reported =
-      !Env::Default()->GetFreeSpace("/nonexistent-path-xyz").ok() ||
-      !Env::Default()->GetFreeSpace("/nonexistent-path-xyz").ok();
-  EXPECT_TRUE(missing_path_reported);
+  auto free = Env::Default()->GetFreeSpace("/tmp");
+  ASSERT_TRUE(free.ok()) << free.status().ToString();
+  EXPECT_GT(*free, 0u);
+  EXPECT_FALSE(Env::Default()->GetFreeSpace("/nonexistent-path-xyz").ok());
 }
 
 // -------------------------------------------------------------- fixtures
@@ -90,18 +78,14 @@ class ErrorRecoveryTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  // Baseline options: big memtable so flushes only happen when a test asks,
-  // WAL pinned off so injected write faults hit the component seal (not a
-  // forced-WAL environment's log appends), watchdog floor pinned to 0 so
-  // LSMSTATS_MIN_FREE_BYTES cannot add unplanned transient failures.
+  // Baseline options: big memtable so flushes only happen when a test asks;
+  // the WAL is off, so injected write faults hit the component seal.
   LsmTreeOptions BaseOptions(FaultInjectionEnv* env) {
     LsmTreeOptions options;
     options.directory = dir_;
     options.name = "t";
     options.memtable_max_entries = 100;
     options.env = env;
-    options.wal = false;
-    options.min_free_bytes = 0;
     return options;
   }
 
@@ -133,8 +117,8 @@ TEST_F(ErrorRecoveryTest, TransientOutageAutoRecoversWithoutLosingWrites) {
     ASSERT_TRUE(tree->Put(PrimaryKey(k), "v" + std::to_string(k), true).ok());
   }
   // A burst of 12 write failures: long enough to outlast the inline retries
-  // (including any LSMSTATS_FLUSH_RETRIES floor) and force the recovery
-  // manager to carry the flush across several backoff rounds.
+  // and force the recovery manager to carry the flush across several
+  // backoff rounds.
   env.FailWritesWith(Status::IOError("injected outage"), 12);
   ASSERT_TRUE(tree->RequestFlush().ok());
 
@@ -341,11 +325,7 @@ TEST_F(ErrorRecoveryTest, WatchdogStopsWalSegmentCreation) {
   }
 
   env.ClearFreeSpaceBudget();
-  // Two attempts: with the budget cleared the probe falls through to the
-  // real filesystem, where a forced LSMSTATS_FAULT_FREE_PROBE can hijack one
-  // answer to "0 bytes free" — but never two in a row.
   Status retried = tree->Put(PrimaryKey(1), "v", true);
-  if (!retried.ok()) retried = tree->Put(PrimaryKey(1), "v", true);
   ASSERT_TRUE(retried.ok()) << retried.ToString();
   EXPECT_TRUE(tree->Get(PrimaryKey(1), &value).ok());
 }

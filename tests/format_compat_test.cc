@@ -14,6 +14,7 @@
 #include "common/coding.h"
 #include "common/env.h"
 #include "common/file.h"
+#include "db/dataset.h"
 #include "lsm/disk_component.h"
 #include "lsm/format/block.h"
 #include "lsm/format/block_cache.h"
@@ -241,6 +242,15 @@ TEST(FormatCompat, UnknownWriteConfigurationIsRejected) {
   options.write_options = bad_codec;
   EXPECT_EQ(LsmTree::Open(options).status().code(),
             StatusCode::kInvalidArgument);
+  // A dataset validates its codec name too, including an empty one.
+  DatasetOptions dataset_options;
+  dataset_options.directory = dir.path();
+  for (const char* codec : {"zstd", ""}) {
+    dataset_options.compression = codec;
+    EXPECT_EQ(Dataset::Open(dataset_options).status().code(),
+              StatusCode::kInvalidArgument)
+        << codec;
+  }
 }
 
 // Regression: expected_entries = 0 (unknown) used to size a degenerate bloom

@@ -221,9 +221,6 @@ TEST_F(MemoryArbiterTest, DatasetWithBudgetRegistersAllComponents) {
 }
 
 TEST_F(MemoryArbiterTest, UnsetBudgetMeansNoArbiterAndStaticKnobs) {
-  if (EnvironmentTotalMemoryMb() != 0) {
-    GTEST_SKIP() << "LSMSTATS_TOTAL_MEMORY_MB forces an arbiter";
-  }
   auto dataset = OpenDataset(/*total_memory_mb=*/0, "unset");
   EXPECT_EQ(dataset->memory_arbiter(), nullptr);
   EXPECT_EQ(dataset->primary()->EffectiveMemTableMaxBytes(),
@@ -235,9 +232,6 @@ TEST_F(MemoryArbiterTest, UnsetBudgetMeansNoArbiterAndStaticKnobs) {
 // takes no arbiter branches, so two identical runs — and by extension a run
 // on pre-arbiter code — produce byte-identical component files.
 TEST_F(MemoryArbiterTest, UnsetBudgetKeepsOnDiskBytesDeterministic) {
-  if (EnvironmentTotalMemoryMb() != 0) {
-    GTEST_SKIP() << "LSMSTATS_TOTAL_MEMORY_MB forces an arbiter";
-  }
   auto run = [&](const std::string& subdir) {
     auto dataset = OpenDataset(/*total_memory_mb=*/0, subdir);
     for (int64_t pk = 0; pk < 1500; ++pk) {

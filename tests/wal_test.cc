@@ -260,6 +260,35 @@ TEST_F(WalTest, ReplayPreservesUpdatesAndDeletes) {
   EXPECT_EQ(tree->Get(PrimaryKey(2), &value).code(), StatusCode::kNotFound);
 }
 
+// Replay re-applies puts as non-fresh, so deleting a replayed record writes
+// anti-matter even though no component holds the record. A full merge must
+// still reconcile it when that flush produced the tree's only component.
+TEST_F(WalTest, FullMergeDropsAntiMatterOfReplayedDeletesInLoneComponent) {
+  {
+    auto tree = LsmTree::Open(Options()).value();
+    ASSERT_TRUE(tree->Put(PrimaryKey(1), "kept", true).ok());
+    ASSERT_TRUE(tree->Put(PrimaryKey(2), "gone", true).ok());
+  }
+  auto tree = LsmTree::Open(Options()).value();
+  ASSERT_TRUE(tree->Delete(PrimaryKey(2)).ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  ASSERT_EQ(tree->ComponentCount(), 1u);
+  ASSERT_EQ(tree->ComponentsMetadata()[0].anti_matter_count, 1u);
+
+  ASSERT_TRUE(tree->ForceFullMerge().ok());
+  ASSERT_EQ(tree->ComponentCount(), 1u);
+  EXPECT_EQ(tree->ComponentsMetadata()[0].anti_matter_count, 0u);
+  EXPECT_EQ(tree->ComponentsMetadata()[0].record_count, 1u);
+  std::string value;
+  ASSERT_TRUE(tree->Get(PrimaryKey(1), &value).ok());
+  EXPECT_EQ(value, "kept");
+  EXPECT_EQ(tree->Get(PrimaryKey(2), &value).code(), StatusCode::kNotFound);
+  // With nothing left to reconcile, a further full merge is a no-op.
+  const uint64_t id = tree->ComponentsMetadata()[0].id;
+  ASSERT_TRUE(tree->ForceFullMerge().ok());
+  EXPECT_EQ(tree->ComponentsMetadata()[0].id, id);
+}
+
 TEST_F(WalTest, UpdatesStayOrderedAcrossSegmentGenerations) {
   {
     auto tree = LsmTree::Open(Options()).value();
@@ -378,7 +407,7 @@ TEST_F(WalTest, EmptySegmentDeletedAtRecovery) {
 
 TEST_F(WalTest, ExplicitWalOffCreatesNoSegments) {
   LsmTreeOptions options = Options();
-  options.wal = false;  // must override LSMSTATS_WAL=1 too
+  options.wal = false;
   {
     auto tree = LsmTree::Open(options).value();
     for (int64_t k = 0; k < 10; ++k) {

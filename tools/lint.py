@@ -15,6 +15,10 @@ clang-tidy is unavailable:
   include-cc     no `#include` of a `.cc` file.
   banned-func    no `rand(`, `srand(`, `time(` in src/ — use common/random.h
                  and injected clocks so runs stay reproducible.
+  getenv         no `getenv` / `secure_getenv` in src/ — options come only
+                 from LsmTreeOptions / DatasetOptions, never from the process
+                 environment, so one place decides how the engine runs.
+                 Not suppressible with lint:allow.
   seeded-random  no <random> engines or entropy sources (mt19937,
                  random_device, ...) in src/ or bench/ outside
                  common/random.* — all randomness flows through the
@@ -225,6 +229,20 @@ def check_banned(path: Path, raw_lines: list[str], code_lines: list[str]) -> Non
             report(path, idx + 1, "banned-func",
                    f"`{m.group(1)}()` is banned in src/ — use common/random.h "
                    "or an injected clock (reproducibility)")
+
+
+# -------------------------------------------------------------------- getenv
+
+GETENV_RE = re.compile(r"(?<![\w.])(?:std::|::)?((?:secure_)?getenv)\s*\(")
+
+
+def check_getenv(path: Path, code_lines: list[str]) -> None:
+    for idx, code in enumerate(code_lines):
+        m = GETENV_RE.search(code)
+        if m:
+            report(path, idx + 1, "getenv",
+                   f"`{m.group(1)}()` in src/ — set the option on "
+                   "LsmTreeOptions / DatasetOptions instead")
 
 
 # ------------------------------------------------------------- seeded-random
@@ -501,6 +519,7 @@ def main() -> int:
         raw, code = lines_of(path)
         check_raw_new_delete(path, raw, code)
         check_banned(path, raw, code)
+        check_getenv(path, code)
         check_env_bypass(path, raw, code)
         check_wal_io(path, raw, code)
         check_raw_mutex(path, raw, code)
