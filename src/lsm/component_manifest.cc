@@ -113,6 +113,11 @@ StatusOr<std::optional<ComponentManifest>> ReadComponentManifest(
   LSMSTATS_RETURN_IF_ERROR(dec.GetVarint64(&manifest.next_component_id));
   uint64_t stack_size = 0;
   LSMSTATS_RETURN_IF_ERROR(dec.GetVarint64(&stack_size));
+  // Each stack entry is two varints (id, level).
+  if (stack_size > dec.remaining() / 2) {
+    return Status::Corruption("component manifest stack size exceeds buffer: " +
+                              path);
+  }
   manifest.stack.reserve(stack_size);
   for (uint64_t i = 0; i < stack_size; ++i) {
     ManifestEntry entry;
@@ -131,6 +136,10 @@ StatusOr<std::optional<ComponentManifest>> ReadComponentManifest(
     pending.target_level = static_cast<uint32_t>(target);
     uint64_t inputs = 0;
     LSMSTATS_RETURN_IF_ERROR(dec.GetVarint64(&inputs));
+    if (inputs > dec.remaining()) {
+      return Status::Corruption(
+          "component manifest merge inputs exceed buffer: " + path);
+    }
     pending.input_ids.reserve(inputs);
     for (uint64_t i = 0; i < inputs; ++i) {
       uint64_t id = 0;
@@ -139,6 +148,10 @@ StatusOr<std::optional<ComponentManifest>> ReadComponentManifest(
     }
     uint64_t outputs = 0;
     LSMSTATS_RETURN_IF_ERROR(dec.GetVarint64(&outputs));
+    if (outputs > dec.remaining()) {
+      return Status::Corruption(
+          "component manifest merge outputs exceed buffer: " + path);
+    }
     pending.output_ids.reserve(outputs);
     for (uint64_t i = 0; i < outputs; ++i) {
       uint64_t id = 0;

@@ -332,6 +332,11 @@ StatusOr<std::shared_ptr<DiskComponent>> DiskComponent::Open(
   Decoder index_dec(index_bytes);
   uint64_t index_count;
   LSMSTATS_RETURN_IF_ERROR(index_dec.GetVarint64(&index_count));
+  // Each index entry is a key (3 x i64) and an offset (u64).
+  if (index_count > index_dec.remaining() / 32) {
+    return Status::Corruption("component index count exceeds buffer: " +
+                              path);
+  }
   component->sparse_index_.reserve(index_count);
   for (uint64_t i = 0; i < index_count; ++i) {
     LsmKey key;

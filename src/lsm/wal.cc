@@ -49,6 +49,9 @@ void AppendFramedPayload(const Encoder& payload, std::string* out) {
   out->append(payload.buffer());
 }
 
+// Smallest batch entry: tree_id varint, op u8, k0/k1/k2 i64, empty value.
+constexpr size_t kMinBatchEntryBytes = 1 + 1 + 3 * 8 + 1;
+
 void PutRecordFields(Encoder* payload, WalOp op, const LsmKey& key,
                      std::string_view value) {
   payload->PutU8(static_cast<uint8_t>(op));
@@ -394,6 +397,7 @@ bool DecodeWalPayload(std::string_view payload,
   if (op_byte == kWalBatchFrameTag) {
     uint64_t count = 0;
     if (!dec.GetVarint64(&count).ok()) return false;
+    if (count > dec.remaining() / kMinBatchEntryBytes) return false;
     entries->reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t tree_id = 0;

@@ -181,6 +181,62 @@ TEST(BlockFormat, IncompressibleBlockStoredRaw) {
   EXPECT_EQ(raw, "incompressible free-form text payload");
 }
 
+// The stored block layout, composed independently of BlockBuilder:
+// [tag u8][raw size varint][payload][crc32c u32].
+std::string ExpectedBlock(const CompressionCodec* codec,
+                                 const std::string& raw) {
+  uint8_t tag = 0;
+  std::string payload;
+  if (codec->tag() != 0 && codec->Compress(raw, &payload)) {
+    tag = codec->tag();
+  } else {
+    payload = raw;
+  }
+  Encoder enc;
+  enc.PutU8(tag);
+  enc.PutVarint64(raw.size());
+  std::string stored = enc.Release();
+  stored.append(payload);
+  Encoder crc;
+  crc.PutU32(crc32c::Value(stored));
+  return stored + crc.buffer();
+}
+
+TEST(BlockFormat, SealLayoutPinnedAcrossBuilderReuse) {
+  for (const char* name : {"none", "delta"}) {
+    const CompressionCodec* codec = CodecByName(name);
+    // One builder for every block, of varying sizes and compressibility.
+    BlockBuilder builder(codec, 512);
+    int compressed_blocks = 0;
+    for (int b = 0; b < 200; ++b) {
+      std::string raw;
+      if (b % 5 == 4) {
+        raw = "free-form text the delta codec declines " + std::to_string(b);
+        builder.Add(raw);
+      } else {
+        for (int i = 0; i < 1 + b % 40; ++i) {
+          Entry entry;
+          entry.key = SecondaryKey(b * 100 + i / 3, 1000 + i);
+          entry.value = std::string(static_cast<size_t>(i % 7), 'v');
+          Encoder enc;
+          EncodeEntry(entry, &enc);
+          raw += enc.buffer();
+          builder.Add(enc.buffer());
+        }
+      }
+      ASSERT_EQ(builder.raw_size(), raw.size());
+      const std::string stored = builder.Seal();
+      EXPECT_TRUE(builder.empty());
+      EXPECT_EQ(stored, ExpectedBlock(codec, raw))
+          << name << " block " << b;
+      if (stored[0] != '\0') ++compressed_blocks;
+    }
+    if (codec->tag() != 0) {
+      EXPECT_GT(compressed_blocks, 0) << name;
+    }
+  }
+}
+
 TEST(BlockFormat, CorruptionIsDetected) {
   BlockBuilder builder(CodecByName("none"), 64);
   builder.Add("some block payload");

@@ -18,6 +18,7 @@
 
 #include "common/crc32c.h"
 #include "common/env.h"
+#include "common/random.h"
 #include "db/dataset.h"
 #include "lsm/format/block.h"
 #include "lsm/lsm_tree.h"
@@ -44,6 +45,40 @@ TEST(Crc32c, ExtendComposes) {
     uint32_t crc = crc32c::Extend(0, data.data(), split);
     crc = crc32c::Extend(crc, data.data() + split, data.size() - split);
     EXPECT_EQ(crc, crc32c::Value(data)) << "split at " << split;
+  }
+}
+
+TEST(Crc32c, HardwareMatchesPortable) {
+  // Extend() runs the hardware path on CPUs that have one; the table loop is
+  // the reference. Lengths 0-9000 cross every 8-byte word edge and several
+  // 768-byte (three-lane) stripes, at every start alignment.
+  constexpr size_t kMaxLen = 9000;
+  Random rng(20261017);
+  std::string data(kMaxLen + 8, '\0');
+  for (char& c : data) c = static_cast<char>(rng.NextU64());
+  for (uint32_t start : {0u, 0x9E3779B9u}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const char* p = data.data() + offset;
+      uint32_t reference = start;  // table CRC of p[0, n), grown bytewise
+      for (size_t n = 0; n <= kMaxLen; ++n) {
+        ASSERT_EQ(crc32c::Extend(start, p, n), reference)
+            << "start " << start << " offset " << offset << " length " << n;
+        if (n < kMaxLen) {
+          reference = crc32c::internal::ExtendPortable(reference, p + n, 1);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(crc32c::internal::ExtendPortable(0, "123456789", 9), 0xE3069283u);
+
+  // Splitting a stream on either side of a stripe boundary still composes.
+  const uint32_t whole = crc32c::internal::ExtendPortable(0, data.data(), 4096);
+  for (size_t boundary = 768; boundary <= 4096; boundary += 768) {
+    for (size_t split : {boundary - 1, boundary, boundary + 1}) {
+      uint32_t crc = crc32c::Extend(0, data.data(), split);
+      crc = crc32c::Extend(crc, data.data() + split, 4096 - split);
+      EXPECT_EQ(crc, whole) << "split at " << split;
+    }
   }
 }
 

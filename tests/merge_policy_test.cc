@@ -8,12 +8,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/env.h"
 #include "common/random.h"
 #include "lsm/component_manifest.h"
@@ -290,6 +294,42 @@ TEST_F(ManifestTest, CorruptionIsDetectedByTheChecksum) {
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
       << read.status().ToString();
+}
+
+TEST_F(ManifestTest, OversizedCountsAreCorruption) {
+  Env* env = Env::Default();
+  ComponentManifest manifest;
+  manifest.next_component_id = 9;
+  manifest.pending = ManifestPendingMerge{};
+  manifest.pending->target_level = 1;
+  ASSERT_TRUE(WriteComponentManifest(env, dir_, "t", manifest).ok());
+  const std::string path = ComponentManifestPath(dir_, "t");
+  std::string written;
+  {
+    std::ifstream in(path, std::ios::binary);
+    written.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // [magic u64][version 1][next id 9][stack size 0][pending 1][target 1]
+  // [inputs 0][outputs 0][crc u32]: each count is one zero byte.
+  ASSERT_EQ(written.size(), 8u + 7u + 4u);
+  for (size_t count_at : {10, 13, 14}) {
+    Encoder huge;
+    huge.PutVarint64(uint64_t{1} << 62);
+    std::string bytes = written.substr(0, written.size() - 4);
+    ASSERT_EQ(bytes[count_at], '\0');
+    bytes.replace(count_at, 1, huge.buffer());
+    Encoder crc;
+    crc.PutU32(crc32c::Value(bytes));
+    bytes += crc.buffer();
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    auto read = ReadComponentManifest(env, dir_, "t");
+    ASSERT_FALSE(read.ok()) << "count at byte " << count_at;
+    EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+        << read.status().ToString();
+  }
 }
 
 // ------------------------------------------------------ end-to-end leveled

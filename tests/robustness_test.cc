@@ -3,11 +3,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_controller.h"
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/env.h"
 #include "common/random.h"
 #include "lsm/disk_component.h"
@@ -135,6 +140,53 @@ TEST(Robustness, ComponentOpenRejectsCorruptFiles) {
     std::fputc(0x5a, f);
     std::fclose(f);
   }));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Robustness, OversizedIndexCountIsCorruption) {
+  char tmpl[] = "/tmp/lsmstats_index_count_XXXXXX";
+  std::string dir = ::mkdtemp(tmpl);
+  std::string path = dir + "/c.cmp";
+  {
+    DiskComponentBuilder builder(Env::Default(), path, 10);
+    for (int64_t k = 0; k < 10; ++k) {
+      ASSERT_TRUE(builder.Add({PrimaryKey(k), "value", false}).ok());
+    }
+    ASSERT_TRUE(builder.Finish(1, 1).ok());
+  }
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // The footer (100 bytes) opens with data_end, bloom_offset and
+  // checksum_offset; the checksum block opens with the index CRC.
+  const size_t footer = bytes.size() - 100;
+  uint64_t data_end = 0;
+  uint64_t bloom_offset = 0;
+  uint64_t checksum_offset = 0;
+  std::memcpy(&data_end, &bytes[footer], 8);
+  std::memcpy(&bloom_offset, &bytes[footer + 8], 8);
+  std::memcpy(&checksum_offset, &bytes[footer + 16], 8);
+  // One block: [count varint 1][key 24 B][offset 8 B]. Claim 2^62 entries
+  // with a 9-byte count in place of the count and the offset, keeping the
+  // section's length, and re-sign it.
+  ASSERT_EQ(bloom_offset - data_end, 33u);
+  Encoder count;
+  count.PutVarint64(uint64_t{1} << 62);
+  const std::string index = count.buffer() + bytes.substr(data_end + 1, 24);
+  ASSERT_EQ(index.size(), 33u);
+  bytes.replace(data_end, 33, index);
+  const uint32_t crc = crc32c::Value(index);
+  std::memcpy(&bytes[checksum_offset], &crc, 4);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto result = DiskComponent::Open(Env::Default(), path, 1, 1);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+      << result.status().ToString();
   std::filesystem::remove_all(dir);
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/env.h"
 #include "db/dataset.h"
 #include "lsm/lsm_tree.h"
@@ -42,6 +43,24 @@ void FlipByte(Env* env, const std::string& path, uint64_t offset) {
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE((*file)->Append(data).ok());
   ASSERT_TRUE((*file)->Close().ok());
+}
+
+// The WAL record fields, composed independently of wal.cc.
+void PutExpectedFields(Encoder* payload, WalOp op, const LsmKey& key,
+                      std::string_view value) {
+  payload->PutU8(static_cast<uint8_t>(op));
+  payload->PutI64(key.k0);
+  payload->PutI64(key.k1);
+  payload->PutI64(key.k2);
+  payload->PutString(value);
+}
+
+// [len varint][crc32c(payload) u32][payload].
+std::string ExpectedFrame(const Encoder& payload) {
+  Encoder header;
+  header.PutVarint64(payload.size());
+  header.PutU32(crc32c::Value(payload.buffer()));
+  return header.buffer() + payload.buffer();
 }
 
 class WalTest : public ::testing::Test {
@@ -579,6 +598,61 @@ TEST_F(WalTest, BatchFrameRoundTripPreservesTreeIds) {
   EXPECT_EQ(records[2].op, WalOp::kDelete);
   EXPECT_EQ(records[3].tree_id, 2u);
   EXPECT_EQ(records[3].op, WalOp::kAntiMatter);
+}
+
+TEST_F(WalTest, FrameLayoutPinnedAcrossVarintWidths) {
+  // Value sizes at which the value's and the frame's length varints change
+  // width.
+  WriteBatch batch;
+  for (size_t n : {0, 1, 127, 128, 16383, 16384, 65536}) {
+    const std::string value(n, static_cast<char>('a' + n % 26));
+    const LsmKey key = SecondaryKey(static_cast<int64_t>(n), -7);
+    Encoder payload;
+    PutExpectedFields(&payload, WalOp::kPut, key, value);
+    std::string frame = "prior";  // frames append; earlier bytes stay
+    EncodeWalRecordFrame(WalOp::kPut, key, value, &frame);
+    EXPECT_EQ(frame, "prior" + ExpectedFrame(payload))
+        << "value bytes " << n;
+    batch.Put(key, value, /*fresh_insert=*/true,
+              /*tree_id=*/static_cast<uint32_t>(n % 300));
+  }
+  batch.Delete(PrimaryKey(3), /*tree_id=*/1);
+
+  Encoder payload;
+  payload.PutU8(kWalBatchFrameTag);
+  payload.PutVarint64(batch.size());
+  for (const WriteBatchEntry& entry : batch.entries()) {
+    payload.PutVarint64(entry.tree_id);
+    PutExpectedFields(&payload, entry.op, entry.key, entry.value);
+  }
+  std::string frame;
+  EncodeWalBatchFrame(batch, &frame);
+  EXPECT_EQ(frame, ExpectedFrame(payload));
+}
+
+TEST_F(WalTest, OversizedBatchCountIsACorruptTail) {
+  Env* env = Env::Default();
+  std::string path = WalFilePath(dir_, "t", 1);
+  // A CRC-valid batch frame whose entry count claims 2^62 entries.
+  Encoder payload;
+  payload.PutU8(kWalBatchFrameTag);
+  payload.PutVarint64(uint64_t{1} << 62);
+  payload.PutVarint64(/*tree_id=*/0);
+  PutExpectedFields(&payload, WalOp::kPut, PrimaryKey(1), "v");
+  {
+    auto writer = WalSegmentWriter::Create(env, path).value();
+    ASSERT_TRUE(writer->Append(WalOp::kPut, PrimaryKey(0), "whole").ok());
+    ASSERT_TRUE(writer->AppendFrames(ExpectedFrame(payload), 1).ok());
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  uint64_t applied = 0;
+  auto replay = ReplayWalSegment(
+      env, path,
+      [&](uint32_t, WalOp, const LsmKey&, std::string_view) { ++applied; });
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replay->tail, WalTail::kCorrupt);
+  EXPECT_EQ(replay->records_applied, 1u);
+  EXPECT_EQ(applied, 1u);
 }
 
 TEST_F(WalTest, TornBatchFrameDroppedInItsEntirety) {
