@@ -22,6 +22,7 @@
 #include "lsm/format/compression.h"
 #include "lsm/lsm_tree.h"
 #include "lsm/memtable.h"
+#include "lsm/merge_cursor.h"
 #include "stats/cardinality_estimator.h"
 #include "stats/statistics_collector.h"
 #include "synopsis/builder.h"
@@ -256,6 +257,51 @@ void BM_ComponentGet(benchmark::State& state, bool cached) {
 }
 BENCHMARK_CAPTURE(BM_ComponentGet, Cold, false);
 BENCHMARK_CAPTURE(BM_ComponentGet, Cached, true);
+
+// A reconciled count over `fan_in` components whose blocks all sit in the
+// block cache, as ScanCount runs it: 64K secondary entries in total, dealt
+// round-robin so the winning input changes at every step (the linear winner
+// scan's worst case). Items are entries counted, so the per-item cost is
+// comparable across fan-ins; it settles whether a heap would pay.
+void BM_MergeCursorCount(benchmark::State& state) {
+  char tmpl[] = "/tmp/lsmstats_micro_XXXXXX";
+  std::string dir = ::mkdtemp(tmpl);
+  const auto fan_in = static_cast<int64_t>(state.range(0));
+  const int64_t kEntries = 64 * 1024;
+  BlockCache cache(64 << 20);
+  std::vector<std::shared_ptr<DiskComponent>> components;
+  for (int64_t c = 0; c < fan_in; ++c) {
+    DiskComponentBuilder builder(nullptr,
+                                 dir + "/c" + std::to_string(c) + ".cmp",
+                                 kEntries / fan_in, ComponentWriteOptions{},
+                                 DiskComponentReadOptions{&cache});
+    for (int64_t k = c; k < kEntries; k += fan_in) {
+      benchmark::DoNotOptimize(
+          builder.Add(Entry{SecondaryKey(k / 8, k), "", false}));
+    }
+    components.push_back(std::move(builder.Finish(c + 1, c + 1)).value());
+    // Warm the cache: the timed loop never reads the file.
+    for (size_t b = 0; b < components.back()->block_count(); ++b) {
+      benchmark::DoNotOptimize(components.back()->ReadBlock(b).ok());
+    }
+  }
+  uint64_t counted = 0;
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<EntryCursor>> inputs;
+    for (const auto& component : components) {
+      inputs.push_back(component->NewCursor());
+    }
+    MergeCursor merged(std::move(inputs), /*drop_anti_matter=*/true);
+    uint64_t count = 0;
+    for (; merged.Valid(); merged.Next()) ++count;
+    counted += count;
+  }
+  benchmark::DoNotOptimize(counted);
+  state.SetItemsProcessed(static_cast<int64_t>(counted));
+  components.clear();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_MergeCursorCount)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 // ------------------------------------------------------------------- wal
 

@@ -16,22 +16,12 @@ void Encoder::PutString(std::string_view s) {
 }
 
 Status Decoder::GetVarint64(uint64_t* v) {
-  uint64_t result = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
-    uint8_t byte = 0;
-    LSMSTATS_RETURN_IF_ERROR(GetU8(&byte));
-    // The 10th byte can only contribute bit 63; anything above that would
-    // shift out of the result and decode to a silently wrong value.
-    if (shift == 63 && (byte & 0x7e) != 0) {
-      return Status::Corruption("varint64 overflows 64 bits");
-    }
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = result;
-      return Status::OK();
-    }
+  const char* p = data_.data() + pos_;
+  if (const char* error = ParseVarint64(&p, data_.data() + data_.size(), v)) {
+    return Status::Corruption(error);
   }
-  return Status::Corruption("varint64 too long");
+  pos_ = static_cast<size_t>(p - data_.data());
+  return Status::OK();
 }
 
 Status Decoder::GetString(std::string* s) {

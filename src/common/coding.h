@@ -45,6 +45,30 @@ class Encoder {
   std::string buf_;
 };
 
+// Parses an unsigned LEB128 value from [*p, limit) and advances *p past it.
+// Returns null on success, or the reason the bytes are not a varint64 (in
+// which case *p and *v are unspecified). The one varint parser: Decoder and
+// the in-place block entry decoder both use it.
+inline const char* ParseVarint64(const char** p, const char* limit,
+                                 uint64_t* v) {
+  uint64_t result = 0;
+  for (int shift = 0; shift <= 63; shift += 7) {
+    if (*p == limit) return "decode past end of buffer";
+    const auto byte = static_cast<uint8_t>(*(*p)++);
+    // The 10th byte can only contribute bit 63; anything above that would
+    // shift out of the result and decode to a silently wrong value.
+    if (shift == 63 && (byte & 0x7e) != 0) {
+      return "varint64 overflows 64 bits";
+    }
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *v = result;
+      return nullptr;
+    }
+  }
+  return "varint64 too long";
+}
+
 class Decoder {
  public:
   explicit Decoder(std::string_view data) : data_(data), pos_(0) {}

@@ -684,15 +684,20 @@ StatusOr<uint64_t> Dataset::CountRange2D(const std::string& field_a,
         options_.schema.field(composite_fields_[i].second).name != field_b) {
       continue;
     }
-    uint64_t count = 0;
-    LSMSTATS_RETURN_IF_ERROR(composite_trees_[i]->Scan(
+    // The tree orders by k0 first, so [lo0, hi0] bounds the cursor and the
+    // k1 filter runs inline in the counting loop.
+    MergeCursor merged = composite_trees_[i]->NewRangeCursor(
         CompositeKey(lo0, std::numeric_limits<int64_t>::min(),
                      std::numeric_limits<int64_t>::min()),
         CompositeKey(hi0, std::numeric_limits<int64_t>::max(),
                      std::numeric_limits<int64_t>::max()),
-        [&](const Entry& entry) {
-          if (entry.key.k1 >= lo1 && entry.key.k1 <= hi1) ++count;
-        }));
+        /*keys_only=*/true);
+    uint64_t count = 0;
+    for (; merged.Valid(); merged.Next()) {
+      const int64_t k1 = merged.entry().key.k1;
+      if (k1 >= lo1 && k1 <= hi1) ++count;
+    }
+    LSMSTATS_RETURN_IF_ERROR(merged.status());
     return count;
   }
   return Status::NotFound("no composite index on " + field_a + "+" + field_b);

@@ -1,6 +1,8 @@
 #include "lsm/disk_component.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
 #include "common/check.h"
 #include "common/coding.h"
@@ -19,41 +21,80 @@ constexpr uint64_t kComponentMagicV3 = 0x4c534d5354415433ULL;  // "LSMSTAT3"
 // min/max key (6 x i64), footer CRC (u32), magic (u64).
 constexpr size_t kFooterSize = 11 * 8 + 4 + 8;
 
-// Cursor: walks the block sequence, decoding entries out of cached (or
-// freshly read) raw blocks. Holds a shared reference to the component so a
-// snapshot scan stays valid after the tree replaces the component.
-class BlockComponentCursor : public EntryCursor {
+constexpr int64_t kMaxKeySlot = std::numeric_limits<int64_t>::max();
+
+// Fixed part of an encoded entry: k0, k1, k2 (i64 each) and the flags
+// byte. The length-prefixed value follows.
+constexpr size_t kEntryFixedBytes = 3 * 8 + 1;
+
+// Decodes the entry at `*pos` of a raw block in place: `out->value` points
+// into `block`. On success advances `*pos` past the entry and returns null;
+// a truncated or malformed entry returns the Corruption message instead.
+inline const char* DecodeEntryAt(std::string_view block, size_t* pos,
+                                 EntryView* out) {
+  const char* p = block.data() + *pos;
+  const char* const limit = block.data() + block.size();
+  if (static_cast<size_t>(limit - p) < kEntryFixedBytes) {
+    return "decode past end of buffer";
+  }
+  std::memcpy(&out->key.k0, p, sizeof(int64_t));
+  std::memcpy(&out->key.k1, p + 8, sizeof(int64_t));
+  std::memcpy(&out->key.k2, p + 16, sizeof(int64_t));
+  out->anti_matter = (static_cast<uint8_t>(p[24]) & 1) != 0;
+  p += kEntryFixedBytes;
+  uint64_t length = 0;
+  if (const char* error = ParseVarint64(&p, limit, &length)) return error;
+  if (static_cast<uint64_t>(limit - p) < length) {
+    return "string extends past end of buffer";
+  }
+  out->value = std::string_view(p, static_cast<size_t>(length));
+  *pos = static_cast<size_t>(p + length - block.data());
+  return nullptr;
+}
+
+// Cursor: walks the block sequence from `block_index` and stops after `hi`,
+// decoding entries in place out of cached (or freshly read) raw blocks. The
+// pinned block handle backs the current view until Next() moves past it.
+// Holds a shared reference to the component so a snapshot scan stays valid
+// after the tree replaces the component.
+class BlockComponentCursor final : public EntryCursor {
  public:
   BlockComponentCursor(std::shared_ptr<const DiskComponent> component,
-                       size_t block_index)
-      : component_(std::move(component)), block_index_(block_index) {
+                       size_t block_index, const LsmKey& hi)
+      : component_(std::move(component)),
+        block_index_(block_index),
+        hi_(hi) {
     LoadBlock();
     Next();
   }
 
-  bool Valid() const override { return valid_; }
-  const Entry& entry() const override { return entry_; }
   [[nodiscard]] Status status() const override { return status_; }
 
+  // A null block_ means the cursor is done: past the last block or past
+  // `hi` (status OK), or failed (status_ says why).
   void Next() override {
-    valid_ = false;
-    if (!status_.ok()) return;
-    while (block_ != nullptr && pos_ >= block_->size()) {
+    current_ = nullptr;
+    while (block_ != nullptr && pos_ == data_.size()) {
       ++block_index_;
       LoadBlock();
-      if (!status_.ok()) return;
     }
-    if (block_ == nullptr) return;  // past the last block
-    Decoder dec(std::string_view(*block_).substr(pos_));
-    status_ = DecodeEntry(&dec, &entry_);
-    if (!status_.ok()) return;
-    pos_ = block_->size() - dec.remaining();
-    valid_ = true;
+    if (block_ == nullptr) return;
+    if (const char* error = DecodeEntryAt(data_, &pos_, &view_)) {
+      status_ = Status::Corruption(error);
+      block_ = nullptr;
+      return;
+    }
+    if (hi_ < view_.key) {
+      block_ = nullptr;  // past the range: unpin, and stay exhausted
+      return;
+    }
+    current_ = &view_;
   }
 
  private:
   void LoadBlock() {
     block_ = nullptr;
+    data_ = {};
     pos_ = 0;
     if (block_index_ >= component_->block_count()) return;
     auto block_or = component_->ReadBlock(block_index_);
@@ -62,35 +103,27 @@ class BlockComponentCursor : public EntryCursor {
       return;
     }
     block_ = std::move(block_or).value();
+    data_ = *block_;
   }
 
   std::shared_ptr<const DiskComponent> component_;
   size_t block_index_;
-  BlockCache::BlockHandle block_;
+  LsmKey hi_;
+  BlockCache::BlockHandle block_;  // pins data_, which view_ points into
+  std::string_view data_;
   size_t pos_ = 0;
-  Entry entry_;
-  bool valid_ = false;
+  EntryView view_;
   Status status_;
 };
 
 }  // namespace
 
-void EncodeEntry(const Entry& entry, Encoder* enc) {
+void EncodeEntry(const EntryView& entry, Encoder* enc) {
   enc->PutI64(entry.key.k0);
   enc->PutI64(entry.key.k1);
   enc->PutI64(entry.key.k2);
   enc->PutU8(entry.anti_matter ? 1 : 0);
   enc->PutString(entry.value);
-}
-
-Status DecodeEntry(Decoder* dec, Entry* out) {
-  LSMSTATS_RETURN_IF_ERROR(dec->GetI64(&out->key.k0));
-  LSMSTATS_RETURN_IF_ERROR(dec->GetI64(&out->key.k1));
-  LSMSTATS_RETURN_IF_ERROR(dec->GetI64(&out->key.k2));
-  uint8_t flags = 0;
-  LSMSTATS_RETURN_IF_ERROR(dec->GetU8(&flags));
-  out->anti_matter = (flags & 1) != 0;
-  return dec->GetString(&out->value);
 }
 
 // ------------------------------------------------------------------ Builder
@@ -126,7 +159,7 @@ Status DiskComponentBuilder::SealBlock() {
   return file_->Append(block_->Seal());
 }
 
-Status DiskComponentBuilder::Add(const Entry& entry) {
+Status DiskComponentBuilder::Add(const EntryView& entry) {
   LSMSTATS_RETURN_IF_ERROR(open_status_);
   if (has_entries_ && !(max_key_ < entry.key)) {
     return Status::InvalidArgument("component entries must be strictly "
@@ -433,30 +466,37 @@ Status DiskComponent::Get(const LsmKey& key, Entry* out) const {
     return Status::NotFound("key not in component");
   }
   // The key can only live in the single block whose first key is <= key.
+  // Earlier entries are decoded in place; only the match is copied out.
   auto block_or = ReadBlock(SeekBlockIndex(key));
   LSMSTATS_RETURN_IF_ERROR(block_or.status());
-  Decoder dec(**block_or);
-  while (!dec.Done()) {
-    Entry entry;
-    LSMSTATS_RETURN_IF_ERROR(DecodeEntry(&dec, &entry));
-    if (entry.key == key) {
-      *out = std::move(entry);
+  const std::string_view block = **block_or;
+  size_t pos = 0;
+  EntryView view;
+  while (pos < block.size()) {
+    if (const char* error = DecodeEntryAt(block, &pos, &view)) {
+      return Status::Corruption(error);
+    }
+    if (view.key == key) {
+      out->key = view.key;
+      out->value.assign(view.value);
+      out->anti_matter = view.anti_matter;
       return Status::OK();
     }
-    if (key < entry.key) break;
+    if (key < view.key) break;
   }
   return Status::NotFound("key not in component");
 }
 
 std::unique_ptr<EntryCursor> DiskComponent::NewCursor() const {
-  return std::make_unique<BlockComponentCursor>(shared_from_this(), 0);
+  return std::make_unique<BlockComponentCursor>(
+      shared_from_this(), 0, LsmKey{kMaxKeySlot, kMaxKeySlot, kMaxKeySlot});
 }
 
-std::unique_ptr<EntryCursor> DiskComponent::NewCursorAt(
-    const LsmKey& start) const {
+std::unique_ptr<EntryCursor> DiskComponent::NewCursor(const LsmKey& lo,
+                                                      const LsmKey& hi) const {
   std::unique_ptr<EntryCursor> cursor = std::make_unique<BlockComponentCursor>(
-      shared_from_this(), SeekBlockIndex(start));
-  while (cursor->Valid() && cursor->entry().key < start) {
+      shared_from_this(), SeekBlockIndex(lo), hi);
+  while (cursor->Valid() && cursor->entry().key < lo) {
     cursor->Next();
   }
   return cursor;

@@ -99,7 +99,9 @@ class DiskComponentBuilder {
   DiskComponentBuilder(const DiskComponentBuilder&) = delete;
   DiskComponentBuilder& operator=(const DiskComponentBuilder&) = delete;
 
-  [[nodiscard]] Status Add(const Entry& entry);
+  // Copies the entry's bytes into the open block; the view need only live
+  // for the call.
+  [[nodiscard]] Status Add(const EntryView& entry);
 
   // Seals the file — sync, atomic rename into place, directory sync — and
   // opens it as a component. `id`, `timestamp`, and `level` are assigned by
@@ -177,11 +179,14 @@ class DiskComponent : public std::enable_shared_from_this<DiskComponent> {
   // Point lookup. Returns the entry (possibly anti-matter) or NotFound.
   [[nodiscard]] Status Get(const LsmKey& key, Entry* out) const;
 
-  // Cursor over all entries.
+  // Cursor over all entries. Its views read the cursor's pinned block in
+  // place and stay valid until the cursor's next Next().
   std::unique_ptr<EntryCursor> NewCursor() const;
 
-  // Cursor positioned at the first entry with key >= `start`.
-  std::unique_ptr<EntryCursor> NewCursorAt(const LsmKey& start) const;
+  // The same over the entries in [lo, hi] only: positioned at the first key
+  // >= `lo`, exhausted after the last key <= `hi`.
+  std::unique_ptr<EntryCursor> NewCursor(const LsmKey& lo,
+                                         const LsmKey& hi) const;
 
   // Unlinks the backing file from the directory. The component itself stays
   // readable (the descriptor remains open) so in-flight readers holding a
@@ -215,10 +220,9 @@ class DiskComponent : public std::enable_shared_from_this<DiskComponent> {
   uint64_t cache_file_id_ = 0;
 };
 
-// Entry wire helpers shared by the builder and readers; DecodeEntry reads
-// from an in-memory (decoded block) buffer.
-void EncodeEntry(const Entry& entry, Encoder* enc);
-[[nodiscard]] Status DecodeEntry(Decoder* dec, Entry* out);
+// Entry wire format: k0, k1, k2 (fixed i64), a flags byte (bit 0 =
+// anti-matter), then the length-prefixed value. Readers decode it in place.
+void EncodeEntry(const EntryView& entry, Encoder* enc);
 
 }  // namespace lsmstats
 

@@ -12,7 +12,10 @@
 //
 // An Entry is one record in a component: a key, an opaque value payload
 // (empty for secondary entries), and the anti-matter flag that marks entries
-// which cancel a matching record in an older component (Appendix A).
+// which cancel a matching record in an older component (Appendix A). An
+// EntryView is the same record borrowed from whoever holds its bytes — a
+// cursor's pinned block or memtable — which is how cursors, component
+// builders and synopsis observers pass entries without copying values.
 
 #ifndef LSMSTATS_LSM_ENTRY_H_
 #define LSMSTATS_LSM_ENTRY_H_
@@ -20,6 +23,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace lsmstats {
 
@@ -44,11 +48,30 @@ inline LsmKey CompositeKey(int64_t sk1, int64_t sk2, int64_t pk) {
   return LsmKey{sk1, sk2, pk};
 }
 
+// A borrowed entry: `value` points into storage owned by the producer and
+// is valid only as long as the producer says (for a cursor: until Next()).
+struct EntryView {
+  LsmKey key;
+  std::string_view value;
+  bool anti_matter = false;
+};
+
 struct Entry {
   LsmKey key;
   std::string value;
   bool anti_matter = false;
+
+  // Views this entry; the view is valid while the entry is alive and
+  // unchanged, as a string_view is for a string.
+  operator EntryView() const {
+    return EntryView{key, value, anti_matter};
+  }
 };
+
+// Owning copy of a borrowed entry.
+inline Entry ToEntry(const EntryView& view) {
+  return Entry{view.key, std::string(view.value), view.anti_matter};
+}
 
 }  // namespace lsmstats
 

@@ -14,4 +14,11 @@ const char* LsmOperationToString(LsmOperation op) {
   return "unknown";
 }
 
+void ComponentWriteObserver::OnEntryView(const EntryView& entry) {
+  scratch_.key = entry.key;
+  scratch_.value.assign(entry.value);
+  scratch_.anti_matter = entry.anti_matter;
+  OnEntry(scratch_);
+}
+
 }  // namespace lsmstats

@@ -56,14 +56,23 @@ class ComponentWriteObserver {
   virtual ~ComponentWriteObserver() = default;
 
   // Called for every entry, in strictly increasing key order, including
-  // anti-matter entries.
-  virtual void OnEntry(const Entry& entry) = 0;
+  // anti-matter entries. The view borrows the writer's cursor and is valid
+  // only during the call. The default copies it into an Entry (reusing one
+  // buffer) for OnEntry.
+  virtual void OnEntryView(const EntryView& entry);
+
+  // Owning form of OnEntryView, for observers written against Entry; no-op
+  // by default. Observers on the statistics path override OnEntryView.
+  virtual void OnEntry(const Entry& /*entry*/) {}
 
   // Called once after the component is durably sealed. `replaced_ids` lists
   // the components this one supersedes (empty for flush/bulkload).
   virtual void OnComponentSealed(
       const ComponentMetadata& metadata,
       const std::vector<uint64_t>& replaced_ids) = 0;
+
+ private:
+  Entry scratch_;  // OnEntryView's copy for OnEntry
 };
 
 class LsmEventListener {

@@ -505,52 +505,43 @@ Status LsmTree::Get(const LsmKey& key, std::string* value) const {
   return Status::NotFound("key absent");
 }
 
-Status LsmTree::Scan(const LsmKey& lo, const LsmKey& hi,
-                     const std::function<void(const Entry&)>& fn) const {
-  // Snapshot the mutable memtable's in-range entries plus shared handles on
-  // everything frozen; the merge itself runs without the lock.
-  std::vector<Entry> mem_entries;
-  std::vector<std::shared_ptr<const MemTable>> frozen;  // newest first
+MergeCursor LsmTree::NewRangeCursor(const LsmKey& lo, const LsmKey& hi,
+                                    bool keys_only) const {
+  // Newest first: the mutable memtable's snapshot, the frozen memtables,
+  // then the components. Only the snapshot copies, and only [lo, hi].
+  std::vector<std::unique_ptr<EntryCursor>> inputs;
   std::vector<std::shared_ptr<DiskComponent>> components;
   {
     MutexLock lock(&mu_);
-    memtable_->ForEach([&](const Entry& e) {
-      if (!(e.key < lo) && !(hi < e.key)) mem_entries.push_back(e);
-    });
-    frozen.reserve(immutables_.size());
+    inputs.reserve(1 + immutables_.size() + components_.size());
+    inputs.push_back(memtable_->NewSnapshotCursor(lo, hi, keys_only));
     for (auto it = immutables_.rbegin(); it != immutables_.rend(); ++it) {
-      frozen.push_back(it->memtable);
+      inputs.push_back(MemTable::NewFrozenCursor(it->memtable, lo, hi));
     }
     components = components_;
   }
-  std::vector<std::unique_ptr<EntryCursor>> inputs;
-  inputs.reserve(frozen.size() + components.size() + 1);
-  inputs.push_back(std::make_unique<VectorEntryCursor>(std::move(mem_entries)));
-  for (const auto& memtable : frozen) {
-    std::vector<Entry> entries;
-    memtable->ForEach([&](const Entry& e) {
-      if (!(e.key < lo) && !(hi < e.key)) entries.push_back(e);
-    });
-    inputs.push_back(std::make_unique<VectorEntryCursor>(std::move(entries)));
-  }
   for (const auto& component : components) {
-    inputs.push_back(component->NewCursorAt(lo));
+    const ComponentMetadata& md = component->metadata();
+    if (md.max_key < lo || hi < md.min_key) continue;
+    inputs.push_back(component->NewCursor(lo, hi));
   }
-  // The scan sees the whole tree, so anti-matter fully reconciles.
-  MergeCursor merged(std::move(inputs), /*drop_anti_matter=*/true);
-  while (merged.Valid()) {
-    if (hi < merged.entry().key) break;
-    fn(merged.entry());
-    merged.Next();
-  }
+  // The cursor sees the whole tree, so anti-matter fully reconciles.
+  return MergeCursor(std::move(inputs), /*drop_anti_matter=*/true);
+}
+
+Status LsmTree::Scan(const LsmKey& lo, const LsmKey& hi,
+                     const std::function<void(const EntryView&)>& fn) const {
+  MergeCursor merged = NewRangeCursor(lo, hi, /*keys_only=*/false);
+  for (; merged.Valid(); merged.Next()) fn(merged.entry());
   return merged.status();
 }
 
 StatusOr<uint64_t> LsmTree::ScanCount(const LsmKey& lo,
                                       const LsmKey& hi) const {
+  MergeCursor merged = NewRangeCursor(lo, hi, /*keys_only=*/true);
   uint64_t count = 0;
-  LSMSTATS_RETURN_IF_ERROR(
-      Scan(lo, hi, [&count](const Entry&) { ++count; }));
+  for (; merged.Valid(); merged.Next()) ++count;
+  LSMSTATS_RETURN_IF_ERROR(merged.status());
   return count;
 }
 
@@ -583,13 +574,13 @@ Status LsmTree::WriteComponent(
                                context.expected_records, effective_options,
                                DiskComponentReadOptions{options_.block_cache});
   while (input->Valid()) {
-    const Entry& entry = input->entry();
+    const EntryView& entry = input->entry();
     Status s = builder.Add(entry);
     if (!s.ok()) {
       builder.Abandon();
       return s;
     }
-    for (auto& observer : observers) observer->OnEntry(entry);
+    for (auto& observer : observers) observer->OnEntryView(entry);
     input->Next();
   }
   if (!input->status().ok()) {
@@ -673,14 +664,12 @@ Status LsmTree::FlushOneImmutable() {
   context.expected_records = victim->EntryCount();
   context.expected_anti_matter = victim->AntiMatterCount();
 
-  std::vector<Entry> entries;
-  entries.reserve(victim->EntryCount());
-  victim->ForEach([&](const Entry& e) { entries.push_back(e); });
-  VectorEntryCursor cursor(std::move(entries));
+  // The victim is frozen, so the flush reads it in place.
+  std::unique_ptr<EntryCursor> cursor = MemTable::NewFrozenCursor(victim);
 
   std::shared_ptr<DiskComponent> component;
   LSMSTATS_RETURN_IF_ERROR(WriteComponent(
-      context, &cursor, {},
+      context, cursor.get(), {},
       [this](std::shared_ptr<DiskComponent> sealed) {
         mu_.AssertHeld();  // WriteComponent invokes install under mu_
         // A rotated memtable is never empty, so a flush always seals a
@@ -1392,13 +1381,13 @@ Status LsmTree::ExecuteMergePlan(
         DiskComponentReadOptions{options_.block_cache});
     uint64_t approx_bytes = 0;
     while (merged.Valid()) {
-      const Entry& entry = merged.entry();
+      const EntryView& entry = merged.entry();
       Status s = builder.Add(entry);
       if (!s.ok()) {
         builder.Abandon();
         return unwind(std::move(s));
       }
-      for (auto& observer : observers) observer->OnEntry(entry);
+      for (auto& observer : observers) observer->OnEntryView(entry);
       if (entry.anti_matter) {
         ++consumed_anti;
       } else {

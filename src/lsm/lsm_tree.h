@@ -48,6 +48,7 @@
 #include "lsm/entry_cursor.h"
 #include "lsm/event_listener.h"
 #include "lsm/memtable.h"
+#include "lsm/merge_cursor.h"
 #include "lsm/merge_policy.h"
 #include "lsm/wal.h"
 #include "lsm/write_batch.h"
@@ -243,14 +244,25 @@ class LsmTree {
   // either entirely before or entirely after it installs its result.
   [[nodiscard]] Status Get(const LsmKey& key, std::string* value) const;
 
-  // Invokes `fn` for every live (reconciled, non-anti-matter) entry with
-  // lo <= key <= hi, in key order.
+  // Reconciling cursor over every live (non-anti-matter) entry with
+  // lo <= key <= hi, in key order, as of this call. Under mu_ it copies only
+  // the mutable memtable's [lo, hi]; frozen memtables and components are read
+  // in place through shared handles, and a component whose key range misses
+  // [lo, hi] gets no cursor. With `keys_only` the mutable memtable's values
+  // are not copied, so a value reads as empty or not depending on where
+  // its entry lives: counting paths use keys alone.
+  MergeCursor NewRangeCursor(const LsmKey& lo, const LsmKey& hi,
+                             bool keys_only) const;
+
+  // Invokes `fn` for every live entry in [lo, hi], in key order. The view is
+  // valid only during the call.
   [[nodiscard]]
   Status Scan(const LsmKey& lo, const LsmKey& hi,
-              const std::function<void(const Entry&)>& fn) const;
+              const std::function<void(const EntryView&)>& fn) const;
 
   // Exact number of live entries in [lo, hi] — the ground-truth cardinality
-  // oracle used by the accuracy experiments.
+  // oracle used by the accuracy experiments. A counting loop over a
+  // keys-only NewRangeCursor; no per-entry callback.
   [[nodiscard]]
   StatusOr<uint64_t> ScanCount(const LsmKey& lo, const LsmKey& hi) const;
 

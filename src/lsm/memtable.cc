@@ -1,10 +1,75 @@
 #include "lsm/memtable.h"
 
+#include <utility>
+#include <vector>
+
 namespace lsmstats {
 
 namespace {
 constexpr uint64_t kPerEntryOverhead = 64;  // map node + key + flags
 }  // namespace
+
+class MemTable::FrozenCursor final : public EntryCursor {
+ public:
+  using Iterator = std::map<LsmKey, EntryState>::const_iterator;
+
+  FrozenCursor(std::shared_ptr<const MemTable> memtable, Iterator begin,
+               Iterator end)
+      : memtable_(std::move(memtable)), it_(begin), end_(end) {
+    Load();
+  }
+
+  void Next() override {
+    if (current_ == nullptr) return;
+    ++it_;
+    Load();
+  }
+  [[nodiscard]] Status status() const override { return Status::OK(); }
+
+ private:
+  void Load() {
+    if (it_ == end_) {
+      current_ = nullptr;
+      return;
+    }
+    view_ = EntryView{it_->first, it_->second.value, it_->second.anti_matter};
+    current_ = &view_;
+  }
+
+  std::shared_ptr<const MemTable> memtable_;
+  Iterator it_;
+  Iterator end_;
+  EntryView view_;
+};
+
+std::unique_ptr<EntryCursor> MemTable::NewFrozenCursor(
+    std::shared_ptr<const MemTable> memtable) {
+  auto begin = memtable->entries_.begin();
+  auto end = memtable->entries_.end();
+  return std::make_unique<FrozenCursor>(std::move(memtable), begin, end);
+}
+
+std::unique_ptr<EntryCursor> MemTable::NewFrozenCursor(
+    std::shared_ptr<const MemTable> memtable, const LsmKey& lo,
+    const LsmKey& hi) {
+  auto end = memtable->entries_.upper_bound(hi);
+  // An inverted range is empty; lower_bound(lo) would lie past `end`.
+  auto begin = hi < lo ? end : memtable->entries_.lower_bound(lo);
+  return std::make_unique<FrozenCursor>(std::move(memtable), begin, end);
+}
+
+std::unique_ptr<EntryCursor> MemTable::NewSnapshotCursor(
+    const LsmKey& lo, const LsmKey& hi, bool keys_only) const {
+  auto end = entries_.upper_bound(hi);
+  auto it = hi < lo ? end : entries_.lower_bound(lo);
+  std::vector<Entry> entries;
+  for (; it != end; ++it) {
+    entries.push_back(Entry{it->first,
+                            keys_only ? std::string() : it->second.value,
+                            it->second.anti_matter});
+  }
+  return std::make_unique<VectorEntryCursor>(std::move(entries));
+}
 
 void MemTable::Put(const LsmKey& key, std::string value, bool fresh_insert) {
   auto [it, inserted] = entries_.try_emplace(key);

@@ -15,10 +15,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "common/status.h"
 #include "lsm/entry.h"
+#include "lsm/entry_cursor.h"
 #include "lsm/wal.h"
 
 namespace lsmstats {
@@ -69,19 +71,25 @@ class MemTable {
 
   void Clear();
 
-  // In-order iteration for flushes and scans.
-  template <typename Fn>  // Fn(const Entry&)
-  void ForEach(Fn&& fn) const {
-    for (const auto& [key, state] : entries_) {
-      Entry e;
-      e.key = key;
-      e.value = state.value;
-      e.anti_matter = state.anti_matter;
-      fn(e);
-    }
-  }
+  // Cursor over the entries in [lo, hi] (all of them without bounds) of a
+  // memtable that no longer changes — a frozen one. It reads the map in
+  // place: views point into the memtable, which the cursor keeps alive.
+  static std::unique_ptr<EntryCursor> NewFrozenCursor(
+      std::shared_ptr<const MemTable> memtable);
+  static std::unique_ptr<EntryCursor> NewFrozenCursor(
+      std::shared_ptr<const MemTable> memtable, const LsmKey& lo,
+      const LsmKey& hi);
+
+  // Cursor over a copy of the entries in [lo, hi], for the mutable memtable,
+  // which changes once its lock is released. With `keys_only` no value is
+  // copied and every view's value is empty (counting needs keys alone).
+  std::unique_ptr<EntryCursor> NewSnapshotCursor(const LsmKey& lo,
+                                                 const LsmKey& hi,
+                                                 bool keys_only) const;
 
  private:
+  class FrozenCursor;
+
   struct EntryState {
     std::string value;
     bool anti_matter = false;

@@ -4,50 +4,51 @@ namespace lsmstats {
 
 MergeCursor::MergeCursor(std::vector<std::unique_ptr<EntryCursor>> inputs,
                          bool drop_anti_matter)
-    : inputs_(std::move(inputs)), drop_anti_matter_(drop_anti_matter) {
+    : inputs_(std::move(inputs)),
+      heads_(inputs_.size()),
+      drop_anti_matter_(drop_anti_matter) {
+  for (size_t i = 0; i < inputs_.size(); ++i) {
+    if (!Refresh(i)) return;
+  }
   FindNext();
 }
 
-void MergeCursor::Next() { FindNext(); }
+bool MergeCursor::InputEnded(size_t i) {
+  status_ = inputs_[i]->status();
+  return status_.ok();
+}
+
+void MergeCursor::Next() {
+  if (current_ == nullptr) return;
+  current_ = nullptr;
+  if (Advance(winner_)) FindNext();
+}
 
 void MergeCursor::FindNext() {
   // The fan-in of LSM merges is small (tens of components at most), so a
-  // linear scan per step is simpler than a heap and just as fast in practice.
+  // linear scan over the cached heads is simpler than a heap and as fast at
+  // the fan-ins the benchmark trees reach (BM_MergeCursorCount measures it).
   for (;;) {
-    int winner = -1;
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      EntryCursor* cursor = inputs_[i].get();
-      if (!cursor->Valid()) {
-        if (!cursor->status().ok()) {
-          status_ = cursor->status();
-          valid_ = false;
-          return;
-        }
-        continue;
-      }
-      if (winner < 0 ||
-          cursor->entry().key < inputs_[winner]->entry().key) {
-        winner = static_cast<int>(i);
+    size_t winner = kNone;
+    for (size_t i = 0; i < heads_.size(); ++i) {
+      if (heads_[i] == nullptr) continue;
+      if (winner == kNone || heads_[i]->key < heads_[winner]->key) winner = i;
+    }
+    if (winner == kNone) return;
+    // The newest version shadows the key in every older input.
+    const LsmKey& key = heads_[winner]->key;
+    for (size_t i = winner + 1; i < heads_.size(); ++i) {
+      if (heads_[i] != nullptr && heads_[i]->key == key && !Advance(i)) {
+        return;
       }
     }
-    if (winner < 0) {
-      valid_ = false;
-      return;
+    if (heads_[winner]->anti_matter && drop_anti_matter_) {
+      // Reconciled away; nothing older can contain the key.
+      if (!Advance(winner)) return;
+      continue;
     }
-    entry_ = inputs_[winner]->entry();
-    // Skip this key in the winner and in every older input: the newest
-    // version shadows all of them.
-    const LsmKey key = entry_.key;
-    for (size_t i = static_cast<size_t>(winner); i < inputs_.size(); ++i) {
-      EntryCursor* cursor = inputs_[i].get();
-      if (cursor->Valid() && cursor->entry().key == key) {
-        cursor->Next();
-      }
-    }
-    if (entry_.anti_matter && drop_anti_matter_) {
-      continue;  // Reconciled away; nothing older can contain the key.
-    }
-    valid_ = true;
+    winner_ = winner;
+    current_ = heads_[winner];
     return;
   }
 }

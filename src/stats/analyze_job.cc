@@ -39,7 +39,7 @@ StatusOr<AnalyzeResult> RunAnalyze(Dataset* dataset, const std::string& field,
     // from the streaming framework (§2).
     std::vector<std::pair<uint64_t, uint64_t>> aggregate;
     LSMSTATS_RETURN_IF_ERROR(index->Scan(scan_lo, scan_hi,
-                                         [&](const Entry& entry) {
+                                         [&](const EntryView& entry) {
       uint64_t position = domain.Position(entry.key.k0);
       if (!aggregate.empty() && aggregate.back().first == position) {
         ++aggregate.back().second;
@@ -65,7 +65,7 @@ StatusOr<AnalyzeResult> RunAnalyze(Dataset* dataset, const std::string& field,
       return Status::InvalidArgument("synopsis type has no builder");
     }
     LSMSTATS_RETURN_IF_ERROR(index->Scan(scan_lo, scan_hi,
-                                         [&](const Entry& entry) {
+                                         [&](const EntryView& entry) {
       builder->Add(entry.key.k0);
       ++result.records_scanned;
     }));

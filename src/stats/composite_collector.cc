@@ -13,7 +13,7 @@ class CompositeStatisticsCollector::Observer : public ComponentWriteObserver {
         anti_(std::make_unique<GridHistogram>(
             parent->domain0_, parent->domain1_, parent->budget_)) {}
 
-  void OnEntry(const Entry& entry) override {
+  void OnEntryView(const EntryView& entry) override {
     GridHistogram* target = entry.anti_matter ? anti_.get() : regular_.get();
     target->AddValue(entry.key.k0, entry.key.k1, 1.0);
   }

@@ -40,7 +40,7 @@ class StatisticsCollector::Observer : public ComponentWriteObserver {
         CreateSynopsisBuilder(parent->config_, context.expected_anti_matter);
   }
 
-  void OnEntry(const Entry& entry) override {
+  void OnEntryView(const EntryView& entry) override {
     ++parent_->entries_observed_;
     // The statistics attribute is the leading key slot: the PK for primary
     // components, the SK for secondary components (§3.1).

@@ -34,7 +34,7 @@ class UnsortedFieldCollector::Observer : public ComponentWriteObserver {
     }
   }
 
-  void OnEntry(const Entry& entry) override {
+  void OnEntryView(const EntryView& entry) override {
     if (entry.anti_matter) {
       // Tombstones carry no record; see the header caveat.
       ++anti_matter_seen_;

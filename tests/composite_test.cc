@@ -1,8 +1,14 @@
 // Tests for composite-key indexes and 2-D grid-histogram statistics
 // (paper §5 future work).
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -194,6 +200,91 @@ TEST_F(CompositeDatasetTest, GridStatisticsFlowThroughPipeline) {
   uint64_t exact = dataset->CountRange2D("x", "y", 0, 63, 0, 63).value();
   EXPECT_NEAR(estimate, static_cast<double>(exact),
               0.1 * static_cast<double>(exact) + 5);
+}
+
+TEST_F(CompositeDatasetTest, CountRange2DMatchesOracleThroughAntiMatter) {
+  // Updates that move records in composite space and deletes leave
+  // anti-matter both in the memtable and (after flushes) in components;
+  // CountRange2D's counting loop must reconcile it exactly.
+  auto dataset = OpenDataset();
+  Random rng(23);
+  std::map<int64_t, std::pair<int64_t, int64_t>> live;  // pk -> (x, y)
+  auto point = [&] {
+    return std::make_pair(static_cast<int64_t>(rng.Uniform(64)),
+                          static_cast<int64_t>(rng.Uniform(64)));
+  };
+  auto check = [&](const char* when) {
+    SCOPED_TRACE(when);
+    std::vector<std::array<int64_t, 4>> boxes = {
+        {0, 63, 0, 63},    // everything
+        {10, 20, 30, 40},  // a box
+        {7, 7, 0, 63},     // one x, all y
+        {0, 63, 9, 9},     // all x, one y
+        {30, 20, 0, 63},   // inverted x
+        {0, 63, 40, 30},   // inverted y
+        {100, 200, 0, 63},  // beyond the data
+    };
+    for (int i = 0; i < 20; ++i) {
+      int64_t x0 = static_cast<int64_t>(rng.Uniform(64));
+      int64_t x1 = static_cast<int64_t>(rng.Uniform(64));
+      int64_t y0 = static_cast<int64_t>(rng.Uniform(64));
+      int64_t y1 = static_cast<int64_t>(rng.Uniform(64));
+      boxes.push_back({std::min(x0, x1), std::max(x0, x1), std::min(y0, y1),
+                       std::max(y0, y1)});
+    }
+    for (const auto& [lo0, hi0, lo1, hi1] : boxes) {
+      uint64_t expected = 0;
+      for (const auto& [pk, xy] : live) {
+        if (xy.first >= lo0 && xy.first <= hi0 && xy.second >= lo1 &&
+            xy.second <= hi1) {
+          ++expected;
+        }
+      }
+      auto count = dataset->CountRange2D("x", "y", lo0, hi0, lo1, hi1);
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(*count, expected)
+          << "box [" << lo0 << "," << hi0 << "]x[" << lo1 << "," << hi1
+          << "]";
+    }
+  };
+  int64_t next_pk = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (int op = 0; op < 400; ++op) {
+      const uint64_t kind = live.empty() ? 0 : rng.Uniform(4);
+      Record r;
+      if (kind <= 1) {  // insert
+        r.pk = next_pk++;
+        auto [x, y] = point();
+        r.fields = {x, y};
+        ASSERT_TRUE(dataset->Insert(r).ok());
+        live[r.pk] = {x, y};
+        continue;
+      }
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.Uniform(live.size())));
+      if (kind == 2) {  // update: moves the record
+        r.pk = it->first;
+        auto [x, y] = point();
+        r.fields = {x, y};
+        ASSERT_TRUE(dataset->Update(r).ok());
+        it->second = {x, y};
+      } else {  // delete
+        ASSERT_TRUE(dataset->Delete(it->first).ok());
+        live.erase(it);
+      }
+    }
+    check("memtable holds anti-matter");
+    ASSERT_TRUE(dataset->Flush().ok());
+    check("after flush");
+  }
+  uint64_t anti_matter = 0;
+  for (const ComponentMetadata& md :
+       dataset->composite("x", "y")->ComponentsMetadata()) {
+    anti_matter += md.anti_matter_count;
+  }
+  EXPECT_GT(anti_matter, 0u) << "components carry no anti-matter";
+  ASSERT_TRUE(dataset->ForceFullMerge().ok());
+  check("after a full merge");
 }
 
 TEST_F(CompositeDatasetTest, UnknownCompositeIndexFailsCleanly) {

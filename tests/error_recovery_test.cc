@@ -233,7 +233,7 @@ TEST_F(ErrorRecoveryTest, HardErrorParksReadOnlyButKeepsServing) {
   EXPECT_EQ(value, "mem");
   uint64_t seen = 0;
   ASSERT_TRUE(tree->Scan(PrimaryKey(0), PrimaryKey(19),
-                         [&](const Entry&) { ++seen; })
+                         [&](const EntryView&) { ++seen; })
                   .ok());
   EXPECT_EQ(seen, 20u);
   EXPECT_EQ(tree->ScanCount(PrimaryKey(0), PrimaryKey(19)).value(), 20u);

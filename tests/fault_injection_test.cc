@@ -387,7 +387,7 @@ void SweepAllCrashPoints(
     std::vector<int64_t> keys;
     ASSERT_TRUE(tree->Scan(PrimaryKey(std::numeric_limits<int64_t>::min()),
                            PrimaryKey(std::numeric_limits<int64_t>::max()),
-                           [&](const Entry& e) { keys.push_back(e.key.k0); })
+                           [&](const EntryView& e) { keys.push_back(e.key.k0); })
                     .ok());
     for (size_t i = 0; i < keys.size(); ++i) {
       ASSERT_EQ(keys[i], static_cast<int64_t>(i));
@@ -497,7 +497,7 @@ TEST_F(FaultInjectionTest, WalEveryRecordCrashSweepLosesNoAckedWrite) {
     std::vector<int64_t> keys;
     ASSERT_TRUE(tree->Scan(PrimaryKey(std::numeric_limits<int64_t>::min()),
                            PrimaryKey(std::numeric_limits<int64_t>::max()),
-                           [&](const Entry& e) { keys.push_back(e.key.k0); })
+                           [&](const EntryView& e) { keys.push_back(e.key.k0); })
                     .ok());
     ASSERT_GE(keys.size(), acked.size());
     for (size_t i = 0; i < keys.size(); ++i) {

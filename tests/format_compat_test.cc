@@ -67,7 +67,7 @@ std::shared_ptr<DiskComponent> WriteComponent(
 std::vector<Entry> ReadAll(const DiskComponent& component) {
   std::vector<Entry> result;
   for (auto cursor = component.NewCursor(); cursor->Valid(); cursor->Next()) {
-    result.push_back(cursor->entry());
+    result.push_back(ToEntry(cursor->entry()));
   }
   return result;
 }

@@ -205,10 +205,12 @@ TEST(DiskComponent, BuildGetScan) {
   EXPECT_EQ(expected, 300);
   EXPECT_TRUE(cursor->status().ok());
 
-  // Seek cursor starts at the right key.
-  auto seek = component->NewCursorAt(PrimaryKey(149));
-  ASSERT_TRUE(seek->Valid());
-  EXPECT_EQ(seek->entry().key.k0, 150);
+  // A range cursor starts at the first key >= lo and ends after hi.
+  auto seek = component->NewCursor(PrimaryKey(149), PrimaryKey(156));
+  std::vector<int64_t> keys;
+  for (; seek->Valid(); seek->Next()) keys.push_back(seek->entry().key.k0);
+  EXPECT_EQ(keys, (std::vector<int64_t>{150, 153, 156}));
+  EXPECT_TRUE(seek->status().ok());
 }
 
 TEST(DiskComponent, RejectsOutOfOrderKeys) {
@@ -349,7 +351,7 @@ TEST(LsmTree, ScanReconcilesAcrossEverything) {
 
   std::set<int64_t> live;
   ASSERT_TRUE(tree->Scan(PrimaryKey(INT64_MIN), PrimaryKey(INT64_MAX),
-                         [&](const Entry& e) { live.insert(e.key.k0); })
+                         [&](const EntryView& e) { live.insert(e.key.k0); })
                   .ok());
   EXPECT_EQ(live, (std::set<int64_t>{1, 3, 4, 5, 7, 9, 10}));
   EXPECT_EQ(tree->ScanCount(PrimaryKey(4), PrimaryKey(9)).value(), 4u);
@@ -431,7 +433,7 @@ class RecordingListener : public LsmEventListener {
    public:
     Observer(RecordingListener* parent, LsmOperation op)
         : parent_(parent), op_(op) {}
-    void OnEntry(const Entry& entry) override {
+    void OnEntryView(const EntryView& entry) override {
       ++entries_;
       if (entry.anti_matter) ++anti_;
     }

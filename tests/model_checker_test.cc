@@ -494,7 +494,7 @@ class ModelCheckerTest : public ::testing::TestWithParam<Config> {
     for (size_t i = 0; i < 3; ++i) {
       const LsmKey lo{INT64_MIN, INT64_MIN, INT64_MIN};
       const LsmKey hi{INT64_MAX, INT64_MAX, INT64_MAX};
-      Status scanned = trees[i]->Scan(lo, hi, [&](const Entry& e) {
+      Status scanned = trees[i]->Scan(lo, hi, [&](const EntryView& e) {
         f.index_keys[i].push_back(e.key);
       });
       EXPECT_TRUE(scanned.ok()) << kIndexes[i] << ": " << scanned.ToString();

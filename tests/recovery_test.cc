@@ -205,7 +205,7 @@ TEST_F(RecoveryTest, CatalogSaveLoadRoundTrip) {
   context.expected_records = 100;
   auto observer = collector.OnOperationBegin(context);
   for (int64_t v = 0; v < 100; ++v) {
-    observer->OnEntry({SecondaryKey(v * 3, v), "", false});
+    observer->OnEntryView({SecondaryKey(v * 3, v), "", false});
   }
   ComponentMetadata metadata;
   metadata.id = 9;

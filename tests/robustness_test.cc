@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "common/env.h"
 #include "common/random.h"
 #include "lsm/disk_component.h"
+#include "lsm/lsm_tree.h"
 #include "synopsis/builder.h"
 
 namespace lsmstats {
@@ -190,10 +192,10 @@ TEST(Robustness, OversizedIndexCountIsCorruption) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(Robustness, DataBlockBitFlipCaughtAtReadTime) {
-  char tmpl[] = "/tmp/lsmstats_bitflip_XXXXXX";
-  std::string dir = ::mkdtemp(tmpl);
-  std::string path = dir + "/c.cmp";
+// Writes 100 primary entries with 50-byte values to `path` — two 4 KiB
+// blocks, the second starting near byte 4111 — then flips one bit at
+// `offset`. Footer, index and bloom stay intact, so Open succeeds.
+void WriteComponentWithFlippedBit(const std::string& path, long offset) {
   {
     DiskComponentBuilder builder(Env::Default(), path, 100);
     for (int64_t k = 0; k < 100; ++k) {
@@ -202,16 +204,21 @@ TEST(Robustness, DataBlockBitFlipCaughtAtReadTime) {
     }
     ASSERT_TRUE(builder.Finish(1, 1).ok());
   }
+  FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, offset, SEEK_SET);
+  int c = std::fgetc(f);
+  std::fseek(f, offset, SEEK_SET);
+  std::fputc(c ^ 0x04, f);
+  std::fclose(f);
+}
+
+TEST(Robustness, DataBlockBitFlipCaughtAtReadTime) {
+  char tmpl[] = "/tmp/lsmstats_bitflip_XXXXXX";
+  std::string dir = ::mkdtemp(tmpl);
+  std::string path = dir + "/c.cmp";
   // Flip one bit inside an entry's value bytes, far from footer/index/bloom.
-  {
-    FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 40, SEEK_SET);
-    int c = std::fgetc(f);
-    std::fseek(f, 40, SEEK_SET);
-    std::fputc(c ^ 0x04, f);
-    std::fclose(f);
-  }
+  WriteComponentWithFlippedBit(path, 40);
   // Footer, index, and bloom checksums are intact, so Open succeeds...
   auto component = DiskComponent::Open(Env::Default(), path, 1, 1);
   ASSERT_TRUE(component.ok()) << component.status().ToString();
@@ -228,6 +235,127 @@ TEST(Robustness, DataBlockBitFlipCaughtAtReadTime) {
   // The eager recovery-time scan reports it too.
   EXPECT_EQ((*component)->VerifyBlockChecksums().code(),
             StatusCode::kCorruption);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Robustness, ScanCountAcrossBitFlippedLaterBlockIsCorruption) {
+  char tmpl[] = "/tmp/lsmstats_bitflip_XXXXXX";
+  std::string dir = ::mkdtemp(tmpl);
+  // The tree recovers `tree_1.cmp` as its only component. The flip lands in
+  // the second block's payload.
+  WriteComponentWithFlippedBit(dir + "/tree_1.cmp", 6000);
+  {
+    auto component =
+        DiskComponent::Open(Env::Default(), dir + "/tree_1.cmp", 1, 1);
+    ASSERT_TRUE(component.ok()) << component.status().ToString();
+    ASSERT_EQ((*component)->block_count(), 2u);
+    Entry entry;
+    ASSERT_TRUE((*component)->Get(PrimaryKey(0), &entry).ok());
+    ASSERT_EQ((*component)->Get(PrimaryKey(99), &entry).code(),
+              StatusCode::kCorruption);
+  }
+  LsmTreeOptions options;
+  options.directory = dir;
+  // Recovery would otherwise verify every block and quarantine the file.
+  options.paranoid_recovery_checks = false;
+  auto tree = LsmTree::Open(options);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_EQ((*tree)->ComponentCount(), 1u);
+  // A range inside the intact first block counts normally...
+  auto head = (*tree)->ScanCount(PrimaryKey(0), PrimaryKey(9));
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(*head, 10u);
+  // ...one that crosses into the flipped block fails, never short-counts.
+  auto all = (*tree)->ScanCount(PrimaryKey(0), PrimaryKey(99));
+  EXPECT_EQ(all.status().code(), StatusCode::kCorruption)
+      << (all.ok() ? "count " + std::to_string(*all)
+                   : all.status().ToString());
+  tree->reset();
+  std::filesystem::remove_all(dir);
+}
+
+// Rewrites the payload of a single-block, uncompressed component in place
+// (same length) and re-signs the block, so only the entry decoder can tell.
+void PatchSingleBlockPayload(const std::string& path,
+                             const std::function<void(std::string*)>& patch) {
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Footer: data_end is its first field. Block: [tag][raw_size varint]
+  // [payload][crc32c].
+  uint64_t data_end = 0;
+  std::memcpy(&data_end, &bytes[bytes.size() - 100], 8);
+  ASSERT_EQ(bytes[0], 0) << "expected an uncompressed block";
+  Decoder dec(std::string_view(bytes).substr(1));
+  uint64_t raw_size = 0;
+  ASSERT_TRUE(dec.GetVarint64(&raw_size).ok());
+  const size_t payload_at = bytes.size() - dec.remaining();
+  ASSERT_EQ(payload_at + raw_size + 4, data_end);
+  std::string payload = bytes.substr(payload_at, raw_size);
+  patch(&payload);
+  ASSERT_EQ(payload.size(), raw_size);
+  bytes.replace(payload_at, raw_size, payload);
+  const uint32_t crc = crc32c::Value(std::string_view(bytes).substr(
+      0, static_cast<size_t>(data_end - 4)));
+  std::memcpy(&bytes[data_end - 4], &crc, 4);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Robustness, TruncatedLastEntryInValidBlockIsCorruption) {
+  char tmpl[] = "/tmp/lsmstats_truncated_XXXXXX";
+  std::string dir = ::mkdtemp(tmpl);
+  // Three entries of 25 fixed bytes + a 1-byte length + a 20-byte value.
+  constexpr size_t kEntryBytes = 25 + 1 + 20;
+  constexpr size_t kLength = 25;  // offset of the length byte in an entry
+  struct Case {
+    const char* name;
+    std::function<void(std::string*)> patch;
+  };
+  const Case cases[] = {
+      // The last entry's value length runs past the block end.
+      {"value past end",
+       [](std::string* p) { (*p)[2 * kEntryBytes + kLength] = 100; }},
+      // The second entry's value swallows all but 10 bytes of the last one,
+      // leaving fewer than the 25 fixed bytes an entry needs.
+      {"short fixed part",
+       [](std::string* p) {
+         (*p)[kEntryBytes + kLength] = static_cast<char>(20 + kEntryBytes - 10);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = dir + "/c.cmp";
+    {
+      DiskComponentBuilder builder(Env::Default(), path, 3);
+      for (int64_t k = 0; k < 3; ++k) {
+        ASSERT_TRUE(
+            builder.Add({PrimaryKey(k), std::string(20, 'v'), false}).ok());
+      }
+      ASSERT_TRUE(builder.Finish(1, 1).ok());
+    }
+    PatchSingleBlockPayload(path, c.patch);
+    auto component = DiskComponent::Open(Env::Default(), path, 1, 1);
+    ASSERT_TRUE(component.ok()) << component.status().ToString();
+    ASSERT_TRUE((*component)->VerifyBlockChecksums().ok());
+    // The cursor yields what precedes the damage, then stops on it.
+    auto cursor = (*component)->NewCursor();
+    size_t yielded = 0;
+    for (; cursor->Valid(); cursor->Next()) ++yielded;
+    EXPECT_LT(yielded, 3u);
+    EXPECT_EQ(cursor->status().code(), StatusCode::kCorruption)
+        << cursor->status().ToString();
+    // Get finds an intact entry before the damage, and fails on the last.
+    Entry entry;
+    EXPECT_TRUE((*component)->Get(PrimaryKey(0), &entry).ok());
+    EXPECT_EQ(entry.value, std::string(20, 'v'));
+    Status s = (*component)->Get(PrimaryKey(2), &entry);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+    component->reset();
+    std::filesystem::remove(path);
+  }
   std::filesystem::remove_all(dir);
 }
 
