@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <thread>
 
 #include "bench_common.h"
 #include "db/dataset.h"
@@ -82,71 +81,6 @@ std::unique_ptr<Dataset> OpenDataset(const std::string& dir,
   return std::move(dataset).value();
 }
 
-// Multi-writer WAL commit-path ingest, measured at the LsmTree level — the
-// tree is internally synchronized, so concurrent writers contend on the real
-// commit path (Dataset above it keeps its documented single-logical-writer
-// contract). Each writer ingests its own key range in groups of `batch`
-// records (1 = plain Put, >1 = one atomic WriteBatch per group). The
-// memtable bound keeps flushes off the timed path: this measures log
-// appends, fsyncs, and leader election, nothing else.
-struct CommitRunResult {
-  double seconds = 0;
-  uint64_t syncs = 0;
-  uint64_t logged = 0;
-};
-
-CommitRunResult MultiWriterWalIngest(uint64_t records, size_t writers,
-                                     size_t batch, size_t payload, int wal,
-                                     const std::string& wal_sync) {
-  ScopedTempDir dir;
-  LsmTreeOptions options;
-  options.directory = dir.path();
-  options.name = "walbench";
-  options.memtable_max_entries = records + 1;
-  options.memtable_max_bytes = (records + 1) * (payload + 64);
-  options.wal = wal > 0;
-  if (!wal_sync.empty()) {
-    auto sync_mode = WalSyncModeFromString(wal_sync);
-    LSMSTATS_CHECK_OK(sync_mode.status());
-    options.wal_sync_mode = *sync_mode;
-  }
-  auto tree_or = LsmTree::Open(options);
-  LSMSTATS_CHECK_OK(tree_or.status());
-  auto& tree = *tree_or;
-
-  const uint64_t per_writer = records / writers;
-  const std::string value(payload, 'x');
-  CommitRunResult result;
-  WallTimer timer;
-  std::vector<std::thread> threads;
-  threads.reserve(writers);
-  for (size_t w = 0; w < writers; ++w) {
-    threads.emplace_back([&, w] {
-      const int64_t base = static_cast<int64_t>(w * per_writer);
-      for (uint64_t i = 0; i < per_writer; i += batch) {
-        const uint64_t end = std::min(i + batch, per_writer);
-        if (batch <= 1) {
-          LSMSTATS_CHECK_OK(
-              tree->Put(PrimaryKey(base + static_cast<int64_t>(i)), value,
-                        true));
-        } else {
-          WriteBatch write_batch;
-          for (uint64_t k = i; k < end; ++k) {
-            write_batch.Put(PrimaryKey(base + static_cast<int64_t>(k)),
-                            value, true);
-          }
-          LSMSTATS_CHECK_OK(tree->Write(std::move(write_batch)));
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  result.seconds = timer.ElapsedSeconds();
-  result.syncs = tree->WalSyncCount();
-  result.logged = tree->WalRecordsLogged();
-  return result;
-}
-
 void Run(const Flags& flags) {
   const uint64_t records = flags.GetU64("records", 30000);
   const size_t payload = flags.GetU64("payload", 1000);
@@ -160,8 +94,6 @@ void Run(const Flags& flags) {
       flags.GetU64("wal", static_cast<uint64_t>(-1)));
   storage.wal_sync = flags.GetString("wal_sync", "");
   storage.merge_policy = flags.GetString("merge_policy", "");
-  const size_t writers = flags.GetU64("writers", 8);
-  const size_t batch = flags.GetU64("batch", 1);
   const ValueDomain domain(0, 16);
 
   DistributionSpec spec;
@@ -317,46 +249,6 @@ void Run(const Flags& flags) {
     }
   }
 
-  // Concurrent ingestion: the same insert stream with LSM maintenance
-  // (flush + merge) moved onto a background worker pool, against the
-  // synchronous baseline where every full memtable stalls the writer.
-  // `accept_sec` is the writer-visible time — when the last Insert returned
-  // and the feed could disconnect; flushes still draining are finished in
-  // `drain_sec`. The accept speedup is the throughput gain a producer sees.
-  // Not part of "all" so the paper-figure modes stay single-threaded.
-  // Durability-cost matrix: records/sec and fsyncs/record for every WAL
-  // sync mode. Every-record sync commits through group commit, so its
-  // fsyncs/record falls as writers pile up behind a leader. `--writers=`
-  // and `--batch=` pick the concurrency and the WriteBatch size every cell
-  // runs with.
-  if (mode == "durability") {
-    PrintHeader("WAL durability matrix (" + std::to_string(writers) +
-                    " writers, batch=" + std::to_string(batch) + ")",
-                {"sync_mode", "records/s", "fsync/rec", "seconds"});
-    struct MatrixRow {
-      const char* sync;
-      const char* wal_sync;  // empty = WAL off
-      int wal;
-    };
-    const MatrixRow rows[] = {
-        {"(wal off)", "", 0},
-        {"none", "none", 1},
-        {"flush-only", "flush-only", 1},
-        {"every-record", "every-record", 1},
-    };
-    for (const MatrixRow& row : rows) {
-      CommitRunResult result = MultiWriterWalIngest(
-          records, writers, batch, payload, row.wal, row.wal_sync);
-      PrintCell(row.sync);
-      PrintCell(static_cast<double>(records) / result.seconds);
-      PrintCell(row.wal > 0 ? static_cast<double>(result.syncs) /
-                                  static_cast<double>(result.logged)
-                            : 0.0);
-      PrintCell(result.seconds);
-      EndRow();
-    }
-  }
-
   // Adaptive memory arbiter vs static splits of one fixed budget, over a
   // phased workload: phase 1 is ingest-heavy (write buffers are the scarce
   // resource), phase 2 is query-heavy point reads over a hot key subset (the
@@ -462,6 +354,13 @@ void Run(const Flags& flags) {
     run_config("static 25/75 (read)", 0.25);
   }
 
+  // Concurrent ingestion: the same insert stream with LSM maintenance
+  // (flush + merge) moved onto a background worker pool, against the
+  // synchronous baseline where every full memtable stalls the writer.
+  // `accept_sec` is the writer-visible time — when the last Insert returned
+  // and the feed could disconnect; flushes still draining are finished in
+  // `drain_sec`. The accept speedup is the throughput gain a producer sees.
+  // Not part of "all" so the paper-figure modes stay single-threaded.
   if (mode == "concurrent") {
     const size_t threads = flags.GetU64("threads", 4);
     PrintHeader("Fig 2c: concurrent ingestion (background flush/merge, " +

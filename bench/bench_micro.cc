@@ -16,6 +16,7 @@
 #include "common/error_taxonomy.h"
 #include "common/mutex.h"
 #include "common/random.h"
+#include "db/dataset.h"
 #include "lsm/disk_component.h"
 #include "lsm/format/block.h"
 #include "lsm/format/block_cache.h"
@@ -23,6 +24,8 @@
 #include "lsm/lsm_tree.h"
 #include "lsm/memtable.h"
 #include "lsm/merge_cursor.h"
+#include "lsm/wal.h"
+#include "lsm/write_batch.h"
 #include "stats/cardinality_estimator.h"
 #include "stats/statistics_collector.h"
 #include "synopsis/builder.h"
@@ -337,12 +340,11 @@ void BM_WalFrameEncodeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_WalFrameEncodeBatch)->Arg(16)->Arg(256);
 
-// Acked-durable Put at ONE writer. A single writer self-elects as commit
-// leader without stalling (the group-size hint decays to 1), so this tracks
-// the leader-elect overhead on the uncontended path. Prefers tmpfs
-// (/dev/shm) so the fsync is nearly free and the protocol cost isn't buried
-// under device latency; fixed iteration count keeps the memtable from
-// rotating mid-run.
+// Acked-durable Dataset::Insert at the dataset's one writer under
+// every-record sync: each insert writes its frame and fsyncs inline before
+// it returns. Prefers tmpfs (/dev/shm) so the fsync is nearly free and the
+// commit path's own cost isn't buried under device latency; the fixed
+// iteration count keeps the memtable from rotating mid-run.
 void BM_WalUncontendedPut(benchmark::State& state) {
   std::string tmpl_str =
       (std::filesystem::is_directory("/dev/shm") ? "/dev/shm" : "/tmp") +
@@ -350,19 +352,24 @@ void BM_WalUncontendedPut(benchmark::State& state) {
   std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
   tmpl.push_back('\0');
   std::string dir = ::mkdtemp(tmpl.data());
-  LsmTreeOptions options;
+  FieldDef field;  // not indexed: the insert lands in the primary only
+  field.name = "value";
+  DatasetOptions options;
   options.directory = dir;
+  options.schema = Schema({field});
   options.memtable_max_entries = 1 << 20;
   options.wal = true;
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  auto tree = std::move(LsmTree::Open(options)).value();
-  std::string value(100, 'x');
-  int64_t pk = 0;
+  auto dataset = std::move(Dataset::Open(std::move(options))).value();
+  Record record;
+  record.fields = {0};
+  record.payload = std::string(100, 'x');
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree->Put(PrimaryKey(pk++), value, true));
+    benchmark::DoNotOptimize(dataset->Insert(record));
+    ++record.pk;
   }
   state.SetItemsProcessed(state.iterations());
-  tree.reset();
+  dataset.reset();
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_WalUncontendedPut)->Iterations(1 << 15);

@@ -63,18 +63,17 @@ enum class LockRank : int {
   // holding tree locks are atomics-only and never take it.
   kMemoryArbiter = 110,
   // LsmTree::work_mu_ — serializes structural ops; held across component
-  // writes, listener streams, WAL retirement.
+  // writes and listener streams.
   kTreeWork = 100,
   // LsmTree::mu_ — memtable / component-stack state. Acquired under
   // work_mu_ (install steps), never the other way around.
   kTreeState = 90,
-  // WalLog::mu_ — the write-ahead-log state. Acquired under LsmTree::mu_
-  // (a standalone tree appends and seals inside its write critical section)
-  // and bare from commit waiters and the dataset's log path; performs Env
-  // I/O while held.
+  // WalLog::mu_ — the write-ahead-log state. Taken by the dataset's writer
+  // with no tree lock held; performs Env I/O (append, fsync, seal) while
+  // held.
   kWalLog = 85,
-  // FaultInjectionEnv::mu_ — filesystem ops run under tree locks (WAL
-  // appends under mu_, component builds under work_mu_).
+  // FaultInjectionEnv::mu_ — filesystem ops run under tree locks (recovery
+  // under mu_, component builds under work_mu_) and under WalLog::mu_.
   kEnv = 80,
   // BlockCache::Shard::mu — block reads happen under merge (work_mu_);
   // shards never call out while locked and never nest with each other.

@@ -59,10 +59,6 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
     tree_opts.write_options.compression = opts.compression;
     tree_opts.block_cache = opts.block_cache.get();
     tree_opts.min_free_bytes = opts.min_free_bytes;
-    // tree_opts.wal stays off: the dataset's shared log is the only log, so
-    // a logical record is never logged twice. A tree still replays segments
-    // of its own that an older per-tree-log release left behind, and deletes
-    // them once they flush.
   };
 
   // Primary index. The dataset coordinates flushes itself so the trees run
@@ -158,10 +154,10 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
 
   {
     // All trees are open, so recovery can demultiplex surviving shared
-    // segments by tree id into the right memtables. Replay is pessimistic
-    // about freshness (fresh_insert is not logged), exactly like a
-    // standalone tree's replay. It runs with the WAL off too, so turning the
-    // log off never drops records an earlier run logged.
+    // segments by tree id into the right memtables. fresh_insert is not
+    // logged, so replay applies puts as non-fresh: always correct, merely
+    // pessimistic about anti-matter placement. It runs with the WAL off too,
+    // so turning the log off never drops records an earlier run logged.
     Status replay_error;
     auto apply = [&](uint32_t tree_id, WalOp op, const LsmKey& key,
                      std::string_view value) {
@@ -188,8 +184,7 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
       if (!applied.ok()) replay_error = applied;
     };
     auto recovery = RecoverWalSegments(dataset->env_, opts.directory,
-                                       opts.name + "_wal",
-                                       /*quarantine_corrupt=*/true, apply);
+                                       opts.name + "_wal", apply);
     LSMSTATS_RETURN_IF_ERROR(recovery.status());
     LSMSTATS_RETURN_IF_ERROR(replay_error);
     // The recovered segments back the records just replayed into the
@@ -308,13 +303,10 @@ LsmTree* Dataset::TreeById(uint32_t tree_id) {
 }
 
 Status Dataset::LogShared(const WriteBatch& batch) {
-  if (wal_ == nullptr || batch.empty()) return Status::OK();
-  auto ticket = wal_->AppendBatch(batch);
-  LSMSTATS_RETURN_IF_ERROR(ticket.status());
   // Durability before apply: if we crash between the two, replay re-applies
   // the batch, and an error here leaves the batch unacknowledged and
   // unapplied.
-  return wal_->WaitDurable(ticket.value());
+  return wal_ != nullptr ? wal_->AppendBatch(batch) : Status::OK();
 }
 
 Status Dataset::ApplyEntry(WriteBatchEntry& entry) {

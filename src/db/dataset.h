@@ -97,7 +97,7 @@ struct DatasetOptions {
   // every-record sync, fsynced — exactly once, as one atomic batch frame
   // whose entries carry tree ids. Recovery demultiplexes by tree id; a sealed
   // segment is reclaimed only after ALL trees have flushed past it. The index
-  // trees themselves never log. Off by default; see LsmTreeOptions.
+  // trees themselves never log. Off by default.
   bool wal = false;
   WalSyncMode wal_sync_mode = WalSyncMode::kFlushOnly;
   // Free-space watchdog floor applied to every index tree (flush/merge
@@ -256,11 +256,10 @@ class Dataset {
   // secondaries, then composites, in schema order); null if out of range.
   LsmTree* TreeById(uint32_t tree_id);
 
-  // Logs `batch` to the shared WAL as one atomic frame and blocks until it
-  // is durable per the sync mode (every-record sync defers the ack to a
-  // commit leader's fsync). No-op when the WAL is off or the batch is
-  // empty. Called BEFORE the entries are applied, so replay covers the
-  // crash window between durability and apply.
+  // Logs `batch` to the shared WAL as one atomic frame, durable per the sync
+  // mode on return. No-op when the WAL is off or the batch is empty. Called
+  // BEFORE the entries are applied, so replay covers the crash window
+  // between durability and apply.
   [[nodiscard]] Status LogShared(const WriteBatch& batch);
 
   // Routes one entry to its tree's Put/Delete/PutAntiMatter, moving the
@@ -320,7 +319,7 @@ class Dataset {
 
   // The dataset's WAL, shared by every index tree (null when the WAL is
   // off). The dataset is externally synchronized, so these need no lock of
-  // their own; WalLog is internally synchronized for its commit waiters.
+  // their own.
   std::unique_ptr<WalLog> wal_;
   // Segments recovered at Open: they back replayed records now sitting in
   // the mutable memtables, so they become reclaimable only at the next

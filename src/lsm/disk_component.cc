@@ -504,7 +504,11 @@ std::unique_ptr<EntryCursor> DiskComponent::NewCursor(const LsmKey& lo,
 
 uint64_t DiskComponent::EvictCachedBlocks() {
   if (block_cache_ == nullptr) return 0;
-  return block_cache_->Erase(cache_file_id_);
+  uint64_t removed = 0;
+  for (const auto& block : sparse_index_) {
+    if (block_cache_->Erase(cache_file_id_, block.second)) ++removed;
+  }
+  return removed;
 }
 
 Status DiskComponent::DeleteFile() {

@@ -110,24 +110,16 @@ uint64_t BlockCache::DebugComputeCharge() const {
   return total;
 }
 
-uint64_t BlockCache::Erase(uint64_t file_id) {
-  uint64_t removed = 0;
-  // A file's blocks hash across every shard, so all shards are visited; each
-  // is locked on its own, never two at once.
-  for (auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->key.file_id != file_id) {
-        ++it;
-        continue;
-      }
-      shard->charge -= it->charge;
-      shard->map.erase(it->key);
-      it = shard->lru.erase(it);
-      ++removed;
-    }
-  }
-  return removed;
+bool BlockCache::Erase(uint64_t file_id, uint64_t offset) {
+  Key key{file_id, offset};
+  Shard& shard = ShardFor(key);
+  MutexLock lock(&shard.mu);
+  auto it = shard.map.find(key);
+  if (it == shard.map.end()) return false;
+  shard.charge -= it->second->charge;
+  shard.lru.erase(it->second);
+  shard.map.erase(it);
+  return true;
 }
 
 BlockCache::Stats BlockCache::GetStats() const {

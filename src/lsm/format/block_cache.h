@@ -51,12 +51,13 @@ class BlockCache {
   // than a whole shard is evicted immediately — callers keep their handle.
   void Insert(uint64_t file_id, uint64_t offset, BlockHandle block);
 
-  // Drops every cached block of `file_id`, returning how many were removed.
-  // Called when a component is deleted after a merge or quarantined during
-  // recovery: its blocks would otherwise squat on the budget until chance
-  // eviction (and linger as stale reads if a file id were ever reused).
-  // Dropped entries do not count as evictions in GetStats().
-  uint64_t Erase(uint64_t file_id);
+  // Drops the block cached under (file_id, offset), returning whether one
+  // was held. A component calls it for each of its block offsets when it is
+  // deleted after a merge or quarantined during recovery: its blocks would
+  // otherwise squat on the budget until chance eviction. Locks only the
+  // key's shard. A dropped entry is not an eviction, and an absent one is
+  // not a miss, in GetStats().
+  bool Erase(uint64_t file_id, uint64_t offset);
 
   struct Stats {
     uint64_t hits = 0;

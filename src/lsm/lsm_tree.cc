@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "lsm/merge_cursor.h"
 #include "lsm/scheduler.h"
+#include "lsm/wal.h"
 
 namespace lsmstats {
 
@@ -42,9 +43,6 @@ LsmTree::~LsmTree() {
     cv_.NotifyAll();
     while (pending_jobs_ != 0) cv_.Wait(&mu_);
   }
-  // wal_log_'s destructor closes the active segment best effort: the bytes
-  // stay on disk either way and recovery replays them, so a failed close
-  // only costs the sync-mode durability upgrade.
 }
 
 StatusOr<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
@@ -57,7 +55,7 @@ StatusOr<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
                                    tree->options_.write_options.compression);
   }
   Env* env = tree->env_;
-  // Recovery mutates guarded members (component stack, WAL bookkeeping).
+  // Recovery mutates guarded members (the component stack).
   // Nothing else can touch the tree yet, but holding mu_ keeps the accesses
   // inside the locking discipline — and every filesystem/cache rank sits
   // below kTreeState, so the ordering is exercised, not just asserted.
@@ -71,6 +69,18 @@ StatusOr<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   const std::string prefix = tree->options_.name + "_";
   std::vector<std::string> names;
   LSMSTATS_RETURN_IF_ERROR(env->ListDir(tree->options_.directory, &names));
+  // A tree does not log; its dataset's log is the only WAL. A
+  // `<tree>_<seq>.wal` segment was left by the retired per-tree log and
+  // holds acknowledged records nothing here replays, so refuse to open
+  // rather than drop them.
+  const std::vector<WalSegmentFile> retired_wal = FindWalSegments(
+      names, tree->options_.directory, tree->options_.name);
+  if (!retired_wal.empty()) {
+    return Status::Unimplemented(
+        "tree " + tree->options_.name +
+        " has a segment of the retired per-tree WAL, which this release no "
+        "longer replays: " + retired_wal.front().path);
+  }
   for (const std::string& filename : names) {
     if (filename.rfind(prefix, 0) != 0) continue;
     if (filename.size() > 4 &&
@@ -265,49 +275,6 @@ StatusOr<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   }
   tree->CheckLevelInvariantLocked();
 
-  // Replay write-ahead-log segments a previous incarnation left behind into
-  // the fresh memtable. This runs even when the WAL is currently disabled so
-  // that turning the option off never silently drops records an earlier
-  // WAL-enabled run logged. Replay is newer than every recovered component,
-  // which matches write order: logged records were accepted after everything
-  // that reached a component was flushed.
-  LsmTree* raw = tree.get();
-  auto wal_recovery = RecoverWalSegments(
-      env, tree->options_.directory, tree->options_.name,
-      tree->options_.quarantine_corrupt_components,
-      [raw](uint32_t /*tree_id*/, WalOp op, const LsmKey& key,
-            std::string_view value) {
-        // Runs synchronously under the recovery lock taken above; the
-        // analysis cannot see through the std::function. A tree's own log
-        // only writes tree id 0, so the id carries no information here.
-        raw->mu_.AssertHeld();
-        // fresh_insert is not logged; replaying without it is always
-        // correct, merely pessimistic about anti-matter placement.
-        raw->memtable_->Apply(op, key, std::string(value),
-                              /*fresh_insert=*/false);
-      });
-  LSMSTATS_RETURN_IF_ERROR(wal_recovery.status());
-  tree->wal_legacy_segments_ = std::move(wal_recovery->live_segments);
-  for (const std::string& quarantined : wal_recovery->quarantined_files) {
-    tree->quarantined_files_.push_back(quarantined);
-  }
-  if (wal_recovery->records_applied > 0) {
-    LSMSTATS_LOG(kInfo) << tree->options_.name << ": replayed "
-                        << wal_recovery->records_applied
-                        << " wal records from "
-                        << tree->wal_legacy_segments_.size()
-                        << " segment(s) into the memtable";
-  }
-  if (tree->options_.wal) {
-    WalLogOptions log_options;
-    log_options.env = env;
-    log_options.directory = tree->options_.directory;
-    log_options.prefix = tree->options_.name;
-    log_options.sync_mode = tree->options_.wal_sync_mode;
-    log_options.next_sequence = wal_recovery->next_sequence;
-    log_options.min_free_bytes = tree->options_.min_free_bytes;
-    tree->wal_log_ = std::make_unique<WalLog>(std::move(log_options));
-  }
   return tree;
 }
 
@@ -325,37 +292,11 @@ bool LsmTree::MemTableFullLocked() const {
          memtable_->ApproximateBytes() >= EffectiveMemTableMaxBytes();
 }
 
-StatusOr<bool> LsmTree::RotateLocked() {
+bool LsmTree::RotateLocked() {
   if (memtable_->Empty()) return false;
-  // Seal the active WAL segment before touching the memtable: on a flush,
-  // sync, or close failure nothing has been mutated (the log keeps its
-  // segment open), so the caller may retry. Sealing flushes any frames a
-  // commit leader has not yet written, so the sealed segment holds
-  // exactly the records of this memtable incarnation.
-  std::vector<std::string> segments;
-  if (wal_log_ != nullptr) {
-    auto sealed = wal_log_->Seal();
-    LSMSTATS_RETURN_IF_ERROR(sealed.status());
-    segments = std::move(wal_legacy_segments_);
-    wal_legacy_segments_.clear();
-    if (sealed->has_value()) segments.push_back(**sealed);
-  } else if (!wal_legacy_segments_.empty()) {
-    // Recovered records with no new writes since Open(): the legacy
-    // segments alone back this memtable.
-    segments = std::move(wal_legacy_segments_);
-    wal_legacy_segments_.clear();
-  }
-  immutables_.push_back(ImmutableMemTable{
-      std::shared_ptr<const MemTable>(std::move(memtable_)),
-      std::move(segments)});
+  immutables_.push_back(std::shared_ptr<const MemTable>(std::move(memtable_)));
   memtable_ = std::make_unique<MemTable>();
   return true;
-}
-
-StatusOr<uint64_t> LsmTree::WalAppendLocked(WalOp op, const LsmKey& key,
-                                            std::string_view value) {
-  if (!options_.wal) return uint64_t{0};
-  return wal_log_->Append(op, key, value);
 }
 
 Status LsmTree::MaybeFlushAfterWrite() {
@@ -364,10 +305,8 @@ Status LsmTree::MaybeFlushAfterWrite() {
     MutexLock lock(&mu_);
     if (!options_.auto_flush || !MemTableFullLocked()) return Status::OK();
     if (options_.scheduler != nullptr) {
-      auto rotated = RotateLocked();
-      LSMSTATS_RETURN_IF_ERROR(rotated.status());
-      // A full memtable is never empty, so a rotation happened unless the
-      // WAL seal failed above.
+      // A full memtable is never empty, so this always rotates.
+      RotateLocked();
       ++pending_jobs_;
       scheduled = true;
     }
@@ -398,72 +337,29 @@ Status LsmTree::MaybeFlushAfterWrite() {
 }
 
 Status LsmTree::Put(const LsmKey& key, std::string value, bool fresh_insert) {
-  uint64_t ticket = 0;
   {
     MutexLock lock(&mu_);
     LSMSTATS_RETURN_IF_ERROR(WriteGateLocked());
-    // Log before applying: a WAL failure must not leave the memtable holding
-    // a record the log never saw. Under every-record sync the frame is
-    // buffered here (still under mu_, so log order equals apply order) and
-    // made durable below.
-    auto logged = WalAppendLocked(WalOp::kPut, key, value);
-    LSMSTATS_RETURN_IF_ERROR(logged.status());
-    ticket = *logged;
     memtable_->Put(key, std::move(value), fresh_insert);
   }
-  // The ack waits for a commit leader's fsync with no tree lock held, so one
-  // leader batches every concurrent writer's frame into one fsync. A zero
-  // ticket (WAL off) has nothing to wait for.
-  if (ticket != 0) LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
   return MaybeFlushAfterWrite();
 }
 
 Status LsmTree::Delete(const LsmKey& key) {
-  uint64_t ticket = 0;
   {
     MutexLock lock(&mu_);
     LSMSTATS_RETURN_IF_ERROR(WriteGateLocked());
-    auto logged = WalAppendLocked(WalOp::kDelete, key, {});
-    LSMSTATS_RETURN_IF_ERROR(logged.status());
-    ticket = *logged;
     memtable_->Delete(key);
   }
-  if (ticket != 0) LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
   return MaybeFlushAfterWrite();
 }
 
 Status LsmTree::PutAntiMatter(const LsmKey& key) {
-  uint64_t ticket = 0;
   {
     MutexLock lock(&mu_);
     LSMSTATS_RETURN_IF_ERROR(WriteGateLocked());
-    auto logged = WalAppendLocked(WalOp::kAntiMatter, key, {});
-    LSMSTATS_RETURN_IF_ERROR(logged.status());
-    ticket = *logged;
     memtable_->PutAntiMatter(key);
   }
-  if (ticket != 0) LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
-  return MaybeFlushAfterWrite();
-}
-
-Status LsmTree::Write(WriteBatch batch) {
-  if (batch.empty()) return Status::OK();
-  uint64_t ticket = 0;
-  {
-    MutexLock lock(&mu_);
-    LSMSTATS_RETURN_IF_ERROR(WriteGateLocked());
-    if (options_.wal) {
-      // One frame, one CRC: recovery replays the batch all-or-nothing.
-      auto logged = wal_log_->AppendBatch(batch);
-      LSMSTATS_RETURN_IF_ERROR(logged.status());
-      ticket = *logged;
-    }
-    for (WriteBatchEntry& entry : batch.mutable_entries()) {
-      memtable_->Apply(entry.op, entry.key, std::move(entry.value),
-                       entry.fresh_insert);
-    }
-  }
-  if (ticket != 0) LSMSTATS_RETURN_IF_ERROR(wal_log_->WaitDurable(ticket));
   return MaybeFlushAfterWrite();
 }
 
@@ -481,7 +377,7 @@ Status LsmTree::Get(const LsmKey& key, std::string* value) const {
     }
     frozen.reserve(immutables_.size());
     for (auto it = immutables_.rbegin(); it != immutables_.rend(); ++it) {
-      frozen.push_back(it->memtable);
+      frozen.push_back(*it);
     }
     components = components_;
   }
@@ -516,7 +412,7 @@ MergeCursor LsmTree::NewRangeCursor(const LsmKey& lo, const LsmKey& hi,
     inputs.reserve(1 + immutables_.size() + components_.size());
     inputs.push_back(memtable_->NewSnapshotCursor(lo, hi, keys_only));
     for (auto it = immutables_.rbegin(); it != immutables_.rend(); ++it) {
-      inputs.push_back(MemTable::NewFrozenCursor(it->memtable, lo, hi));
+      inputs.push_back(MemTable::NewFrozenCursor(*it, lo, hi));
     }
     components = components_;
   }
@@ -631,32 +527,15 @@ Status LsmTree::WriteComponent(
 
 Status LsmTree::FlushOneImmutable() {
   MutexLock work(&work_mu_);
-  // First finish any WAL deletions a previous flush failed: a stale segment
-  // would replay already-flushed records over newer data at the next Open,
-  // so the tree must not accept further flushes until they are gone.
-  std::vector<std::string> pending_deletes;
-  {
-    MutexLock lock(&mu_);
-    pending_deletes = wal_obsolete_segments_;
-  }
-  if (!pending_deletes.empty()) {
-    LSMSTATS_RETURN_IF_ERROR(DeleteWalSegments(env_, pending_deletes));
-    MutexLock lock(&mu_);
-    wal_obsolete_segments_.clear();
-  }
-
   std::shared_ptr<const MemTable> victim;
-  std::vector<std::string> wal_segments;
   {
     MutexLock lock(&mu_);
     if (immutables_.empty()) return Status::OK();
-    victim = immutables_.front().memtable;
-    wal_segments = immutables_.front().wal_segments;
+    victim = immutables_.front();
   }
 
-  // Probe after the obsolete-segment deletes above (they free space) and
-  // before building: a full disk should fail the flush cleanly here, not
-  // leave a half-written temporary behind.
+  // Probe before building: a full disk should fail the flush cleanly here,
+  // not leave a half-written temporary behind.
   LSMSTATS_RETURN_IF_ERROR(CheckFreeSpace("flush"));
 
   OperationContext context;
@@ -674,25 +553,13 @@ Status LsmTree::FlushOneImmutable() {
         mu_.AssertHeld();  // WriteComponent invokes install under mu_
         // A rotated memtable is never empty, so a flush always seals a
         // component; swap it in and retire the memtable in one step so
-        // readers never see the data twice or not at all. The memtable's WAL
-        // segments become obsolete the moment the component is durable.
+        // readers never see the data twice or not at all.
         components_.insert(components_.begin(), std::move(sealed));
-        ImmutableMemTable& front = immutables_.front();
-        wal_obsolete_segments_.insert(wal_obsolete_segments_.end(),
-                                      front.wal_segments.begin(),
-                                      front.wal_segments.end());
         immutables_.pop_front();
         flushes_completed_.fetch_add(1, std::memory_order_release);
         cv_.NotifyAll();
       },
       &component));
-  if (!wal_segments.empty()) {
-    LSMSTATS_RETURN_IF_ERROR(DeleteWalSegments(env_, wal_segments));
-    // work_mu_ serializes flushes and the pending list was drained above, so
-    // the list holds exactly this memtable's segments right now.
-    MutexLock lock(&mu_);
-    wal_obsolete_segments_.clear();
-  }
   return Status::OK();
 }
 
@@ -700,7 +567,7 @@ Status LsmTree::Flush() {
   {
     MutexLock lock(&mu_);
     LSMSTATS_RETURN_IF_ERROR(WriteGateLocked());
-    LSMSTATS_RETURN_IF_ERROR(RotateLocked().status());
+    RotateLocked();
   }
   for (;;) {
     {
@@ -719,9 +586,7 @@ Status LsmTree::RequestFlush() {
   {
     MutexLock lock(&mu_);
     LSMSTATS_RETURN_IF_ERROR(WriteGateLocked());
-    auto rotated_or = RotateLocked();
-    LSMSTATS_RETURN_IF_ERROR(rotated_or.status());
-    rotated = *rotated_or;
+    rotated = RotateLocked();
     if (rotated) ++pending_jobs_;
   }
   if (rotated) {
@@ -1568,11 +1433,11 @@ uint64_t LsmTree::MemTablesRotated() const {
 uint64_t LsmTree::TotalMemTableBytes() const {
   MutexLock lock(&mu_);
   uint64_t total = memtable_->ApproximateBytes();
-  // Rotated memtables stay resident (pinned with their WAL segments) until
-  // their flush completes; a write-buffer accounting that ignores the queue
-  // undercounts exactly when memory pressure is highest.
+  // Rotated memtables stay resident until their flush completes; a
+  // write-buffer accounting that ignores the queue undercounts exactly when
+  // memory pressure is highest.
   for (const auto& immutable : immutables_) {
-    total += immutable.memtable->ApproximateBytes();
+    total += immutable->ApproximateBytes();
   }
   return total;
 }
@@ -1589,14 +1454,6 @@ uint64_t LsmTree::TotalBloomBytes() const {
 std::vector<std::string> LsmTree::QuarantinedFiles() const {
   MutexLock lock(&mu_);
   return quarantined_files_;
-}
-
-uint64_t LsmTree::WalSyncCount() const {
-  return wal_log_ != nullptr ? wal_log_->sync_count() : 0;
-}
-
-uint64_t LsmTree::WalRecordsLogged() const {
-  return wal_log_ != nullptr ? wal_log_->records_appended() : 0;
 }
 
 uint64_t LsmTree::TotalDiskRecords() const {

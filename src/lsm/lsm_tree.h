@@ -50,8 +50,6 @@
 #include "lsm/memtable.h"
 #include "lsm/merge_cursor.h"
 #include "lsm/merge_policy.h"
-#include "lsm/wal.h"
-#include "lsm/write_batch.h"
 
 namespace lsmstats {
 
@@ -114,8 +112,7 @@ struct LsmTreeOptions {
   // IOError) while the tree directory's filesystem reports fewer free bytes
   // than this, so disk exhaustion degrades the tree BEFORE half-written
   // components appear — and auto-recovery resumes it when space returns.
-  // The same floor applies to WAL segment creation. 0 (the default) turns
-  // the watchdog off.
+  // 0 (the default) turns the watchdog off.
   uint64_t min_free_bytes = 0;
   // Codec/block-size for components this tree writes. The default ("none"
   // codec, 4 KiB blocks) keeps paper-mode files bit-identical.
@@ -124,15 +121,6 @@ struct LsmTreeOptions {
   // all of its trees share one budget. Not owned; must outlive the tree.
   // Null means uncached reads.
   BlockCache* block_cache = nullptr;
-  // Write-ahead log: when true, every Put/Delete/PutAntiMatter is appended
-  // to this tree's own log segment before it touches the memtable, and Open()
-  // replays surviving segments (see lsm/wal.h). Off by default, so the paper
-  // runs stay bit-identical.
-  bool wal = false;
-  // Durability granularity of the log. Under every-record sync, concurrent
-  // writers share fsyncs through the log's group commit (see lsm/wal.h,
-  // WalLog).
-  WalSyncMode wal_sync_mode = WalSyncMode::kFlushOnly;
 };
 
 // Degradation state of a tree. Reads (Get/Scan/ScanCount and the statistics
@@ -230,12 +218,6 @@ class LsmTree {
   [[nodiscard]] Status Delete(const LsmKey& key) EXCLUDES(mu_);
   [[nodiscard]] Status PutAntiMatter(const LsmKey& key) EXCLUDES(mu_);
 
-  // Commits a whole WriteBatch atomically: one WAL frame (one CRC, one
-  // fsync under every-record sync) and one lock acquisition for all
-  // memtable applies. Recovery replays the batch all-or-nothing. Entry
-  // tree ids are ignored — every entry lands in this tree.
-  [[nodiscard]] Status Write(WriteBatch batch) EXCLUDES(mu_);
-
   // --- Reads ---------------------------------------------------------------
 
   // Point lookup across the memtable, immutable memtables, and all disk
@@ -321,9 +303,8 @@ class LsmTree {
   // Immutable memtables rotated out but not yet flushed.
   size_t ImmutableMemTableCount() const;
   // Write-buffer bytes the tree actually pins: the mutable memtable PLUS the
-  // rotated immutable queue (whose memtables — and the WAL segments backing
-  // them — stay resident until flushed). MemTableBytes() alone undercounts
-  // under a backlogged scheduler.
+  // rotated immutable queue (whose memtables stay resident until flushed).
+  // MemTableBytes() alone undercounts under a backlogged scheduler.
   uint64_t TotalMemTableBytes() const;
   // Resident bloom-filter bytes across all disk components.
   uint64_t TotalBloomBytes() const;
@@ -372,10 +353,6 @@ class LsmTree {
   }
   // Files Open() renamed to `<file>.quarantine` during recovery.
   std::vector<std::string> QuarantinedFiles() const;
-  // Data fsyncs the WAL has issued / logical records it has logged (0 when
-  // the WAL is off) — benchmarks report fsyncs/record from these.
-  uint64_t WalSyncCount() const;
-  uint64_t WalRecordsLogged() const;
 
   // Total live-record estimate ignoring reconciliation (records - 2*anti
   // would be exact only if every anti-matter cancels in-tree).
@@ -387,28 +364,9 @@ class LsmTree {
   bool MemTableFullLocked() const REQUIRES(mu_);
   std::string ComponentPath(uint64_t id) const;
 
-  // A rotated memtable plus the WAL segments that back its records (empty
-  // when the WAL is off). The segments are deleted once the memtable is
-  // durable in a sealed component.
-  struct ImmutableMemTable {
-    std::shared_ptr<const MemTable> memtable;
-    std::vector<std::string> wal_segments;
-  };
-
-  // Seals a non-empty memtable into the immutable queue, sealing the active
-  // WAL segment with it (synced first in flush-only mode). Returns whether a
-  // rotation happened. On a WAL sync/close error nothing is mutated, so the
-  // caller may retry.
-  [[nodiscard]] StatusOr<bool> RotateLocked() REQUIRES(mu_);
-
-  // Logs one record to the WAL (which creates its segment lazily on the
-  // first logged write after a rotation); returns the commit ticket for
-  // WalLog::WaitDurable, or 0 when the WAL is off. Called before the
-  // memtable apply so an acknowledged write is never memtable-only under
-  // every-record sync.
-  [[nodiscard]]
-  StatusOr<uint64_t> WalAppendLocked(WalOp op, const LsmKey& key,
-                                     std::string_view value) REQUIRES(mu_);
+  // Moves a non-empty memtable into the immutable queue. Returns whether a
+  // rotation happened.
+  bool RotateLocked() REQUIRES(mu_);
 
   // Handles a full memtable after a write landed: inline flush without a
   // scheduler; rotate + schedule + backpressure with one. Called without mu_
@@ -582,7 +540,7 @@ class LsmTree {
   // Rotated memtables awaiting flush, oldest first. The memtables are
   // frozen: safe to read without mu_ once a shared_ptr has been taken
   // under it.
-  std::deque<ImmutableMemTable> immutables_ GUARDED_BY(mu_);
+  std::deque<std::shared_ptr<const MemTable>> immutables_ GUARDED_BY(mu_);
   // Newest first.
   std::vector<std::shared_ptr<DiskComponent>> components_ GUARDED_BY(mu_);
   // Written only by AddListener before the tree is shared (see its comment).
@@ -618,18 +576,6 @@ class LsmTree {
   // Written only during Open(), before the tree is shared (Open still takes
   // mu_ for the analysis's sake — it is uncontended there).
   std::vector<std::string> quarantined_files_ GUARDED_BY(mu_);
-  // The write-ahead log (null when the WAL is off). Internally synchronized
-  // at rank kWalLog, which sits directly below mu_: appends and seals
-  // happen under mu_, durability waits take only the log's own lock.
-  // Created in Open() before the tree is shared, immutable afterwards.
-  std::unique_ptr<WalLog> wal_log_;
-  // Segments recovered by Open() that back replayed records now sitting in
-  // the mutable memtable; they ride along with the next rotation.
-  std::vector<std::string> wal_legacy_segments_ GUARDED_BY(mu_);
-  // Segments whose memtable flushed durably but whose unlink has not
-  // succeeded yet; retried before the next flush (a stale segment would
-  // replay old records over newer data at the next Open).
-  std::vector<std::string> wal_obsolete_segments_ GUARDED_BY(mu_);
 };
 
 }  // namespace lsmstats

@@ -110,21 +110,6 @@ void MemTable::Delete(const LsmKey& key) {
   PutAntiMatter(key);
 }
 
-void MemTable::Apply(WalOp op, const LsmKey& key, std::string value,
-                     bool fresh_insert) {
-  switch (op) {
-    case WalOp::kPut:
-      Put(key, std::move(value), fresh_insert);
-      break;
-    case WalOp::kDelete:
-      Delete(key);
-      break;
-    case WalOp::kAntiMatter:
-      PutAntiMatter(key);
-      break;
-  }
-}
-
 void MemTable::PutAntiMatter(const LsmKey& key) {
   auto [it, inserted] = entries_.try_emplace(key);
   if (!inserted) {

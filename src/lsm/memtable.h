@@ -21,7 +21,6 @@
 #include "common/status.h"
 #include "lsm/entry.h"
 #include "lsm/entry_cursor.h"
-#include "lsm/wal.h"
 
 namespace lsmstats {
 
@@ -42,12 +41,6 @@ class MemTable {
   // maintenance where the old <SK, PK> entry always lives on disk or in an
   // earlier state).
   void PutAntiMatter(const LsmKey& key);
-
-  // Dispatches one logged operation to Put/Delete/PutAntiMatter — the single
-  // entry point for WAL replay and WriteBatch application, so both stay in
-  // lockstep with the live write paths.
-  void Apply(WalOp op, const LsmKey& key, std::string value,
-             bool fresh_insert);
 
   // Point lookup within the memtable only. Returns:
   //   kOk        -> *value filled, *is_anti_matter=false

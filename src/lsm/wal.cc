@@ -1,11 +1,10 @@
 #include "lsm/wal.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <thread>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
@@ -21,16 +20,6 @@ namespace {
 constexpr char kWalSuffix[] = ".wal";
 constexpr size_t kWalSuffixLen = 4;
 constexpr size_t kCrcBytes = 4;
-
-// Bounded wait a leader candidate gives re-arriving writers before syncing
-// a group smaller than the previous one (see WaitDurable). Sized well under
-// a device fsync, so a mispredicted stall costs a fraction of the sync it
-// tries to amortize.
-constexpr std::chrono::microseconds kGroupCommitStallWindow{100};
-
-// Once the forming group reaches the previous group's size, the stall ends
-// after this much time passes with no new arrival (see WaitDurable).
-constexpr std::chrono::microseconds kGroupCommitQuietWindow{25};
 
 bool IsAllDigits(std::string_view s) {
   if (s.empty()) return false;
@@ -146,22 +135,11 @@ Status WalSegmentWriter::Close() { return file_->Close(); }
 // ----------------------------------------------------------------- WalLog
 
 WalLog::WalLog(WalLogOptions options)
-    : options_(std::move(options)),
-      every_record_(options_.sync_mode == WalSyncMode::kEveryRecord),
-      next_sequence_(options_.next_sequence) {}
+    : options_(std::move(options)), next_sequence_(options_.next_sequence) {}
 
 WalLog::~WalLog() {
   MutexLock lock(&mu_);
-  // Destruction implies no concurrent writers, so no leader can be mid-sync.
   if (writer_ == nullptr) return;
-  if (!pending_.empty()) {
-    Status flush = writer_->AppendFrames(pending_, pending_records_);
-    if (!flush.ok()) {
-      LSMSTATS_LOG(kWarning) << options_.prefix
-                             << ": flushing buffered wal frames on shutdown "
-                                "failed: " << flush.message();
-    }
-  }
   Status close = writer_->Close();
   if (!close.ok()) {
     LSMSTATS_LOG(kWarning) << options_.prefix << ": closing wal segment "
@@ -198,158 +176,38 @@ Status WalLog::EnsureWriterLocked() {
   return Status::OK();
 }
 
-StatusOr<uint64_t> WalLog::AppendFrameLocked(std::string frame,
-                                             uint64_t record_count) {
-  // A leader failure left frame durability unknown; appending above the
-  // hole would let a later ack imply an earlier, lost record. (Only ever set
-  // under kEveryRecord.)
-  LSMSTATS_RETURN_IF_ERROR(commit_error_);
-  LSMSTATS_RETURN_IF_ERROR(EnsureWriterLocked());
-  if (every_record_) {
-    pending_.append(frame);
-    pending_records_ += record_count;
-    records_ += record_count;
-    return ++appended_seq_;
-  }
-  LSMSTATS_RETURN_IF_ERROR(writer_->AppendFrames(frame, record_count));
-  records_ += record_count;
-  durable_seq_ = ++appended_seq_;
-  return appended_seq_;
-}
-
-StatusOr<uint64_t> WalLog::Append(WalOp op, const LsmKey& key,
-                                  std::string_view value) {
-  std::string frame;
-  EncodeWalRecordFrame(op, key, value, &frame);
-  MutexLock lock(&mu_);
-  return AppendFrameLocked(std::move(frame), 1);
-}
-
-StatusOr<uint64_t> WalLog::AppendBatch(const WriteBatch& batch) {
-  if (batch.empty()) return uint64_t{0};
+Status WalLog::AppendBatch(const WriteBatch& batch) {
+  if (batch.empty()) return Status::OK();
   std::string frame;
   EncodeWalBatchFrame(batch, &frame);
   MutexLock lock(&mu_);
-  return AppendFrameLocked(std::move(frame), batch.size());
-}
-
-void WalLog::LeadCommitLocked() {
-  sync_in_progress_ = true;
-  std::string batch = std::move(pending_);
-  pending_.clear();
-  const uint64_t batch_records = pending_records_;
-  pending_records_ = 0;
-  last_group_records_ = batch_records;
-  const uint64_t target = appended_seq_;
-  // Non-null: an undurable ticket implies an appended frame, and Seal()
-  // (the only reset) first waits for !sync_in_progress_ and publishes
-  // durable_seq_ = appended_seq_ before releasing the writer.
-  WalSegmentWriter* writer = writer_.get();
-  // The sync_in_progress_ flag gives this thread exclusive use of the
-  // segment file; followers keep buffering into pending_ under mu_.
-  mu_.Unlock();
-  Status s = writer->AppendFrames(batch, batch_records);
-  bool attempted_sync = false;
+  // Sticky: after a failed every-record write or fsync, acking this frame
+  // could imply the earlier one, whose on-disk state is unknown.
+  LSMSTATS_RETURN_IF_ERROR(commit_error_);
+  LSMSTATS_RETURN_IF_ERROR(EnsureWriterLocked());
+  Status s = writer_->AppendFrames(frame, batch.size());
+  if (s.ok()) records_ += batch.size();
+  if (options_.sync_mode != WalSyncMode::kEveryRecord) return s;
   if (s.ok()) {
-    attempted_sync = true;
-    s = writer->Sync();
+    ++syncs_;
+    s = writer_->Sync();
   }
-  mu_.Lock();
-  if (attempted_sync) ++syncs_;
-  sync_in_progress_ = false;
-  if (s.ok()) {
-    if (target > durable_seq_) durable_seq_ = target;
-  } else if (commit_error_.ok()) {
-    commit_error_ = s;
-  }
-  cv_.NotifyAll();
-}
-
-Status WalLog::WaitDurable(uint64_t ticket) {
-  if (ticket == 0 || !every_record_) return Status::OK();
-  MutexLock lock(&mu_);
-  bool stalled = false;
-  while (true) {
-    if (durable_seq_ >= ticket) return Status::OK();
-    if (!commit_error_.ok()) return commit_error_;
-    if (sync_in_progress_) {
-      cv_.Wait(&mu_);
-      continue;
-    }
-    // Leader stall (cf. Postgres commit_delay): if the group about to be
-    // synced is smaller than the one that just committed, the missing
-    // writers are almost certainly re-arriving — they were all released
-    // together and are only a memtable apply behind. Spin one bounded
-    // window for them to land before spending an fsync on a fraction of a
-    // group. A spin (not a CondVar wait) because reacting to the group
-    // filling is the commit critical path; a sleep would add a wakeup
-    // latency comparable to the fsync being saved. The window ends when the
-    // group has reached the previous size AND stopped growing for a quiet
-    // interval — the quiet check lets the group overshoot the hint, so a
-    // writer pool larger than the last group is re-captured whole instead
-    // of equilibrating at the hint. One window per WaitDurable call, so a
-    // shrinking pool pays the deadline at most once before the hint decays.
-    if (!stalled && pending_records_ < last_group_records_) {
-      stalled = true;
-      const auto start = std::chrono::steady_clock::now();
-      const auto deadline = start + kGroupCommitStallWindow;
-      auto last_growth = start;
-      uint64_t seen = pending_records_;
-      while (!sync_in_progress_ && durable_seq_ < ticket &&
-             commit_error_.ok()) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) break;
-        if (pending_records_ != seen) {
-          seen = pending_records_;
-          last_growth = now;
-        } else if (seen >= last_group_records_ &&
-                   now - last_growth >= kGroupCommitQuietWindow) {
-          break;
-        }
-        mu_.Unlock();
-        std::this_thread::yield();
-        mu_.Lock();
-      }
-      continue;
-    }
-    LeadCommitLocked();
-  }
+  if (!s.ok()) commit_error_ = s;
+  return s;
 }
 
 StatusOr<std::optional<std::string>> WalLog::Seal() {
   MutexLock lock(&mu_);
-  cv_.Wait(&mu_, [this]() REQUIRES(mu_) { return !sync_in_progress_; });
   if (writer_ == nullptr) return std::optional<std::string>();
-  const bool had_pending = !pending_.empty();
-  if (had_pending) {
-    Status flush = writer_->AppendFrames(pending_, pending_records_);
-    if (!flush.ok()) {
-      // pending_ is kept so a retried Seal (or the next leader) can still
-      // commit the frames; a duplicated partial append replays idempotently.
-      if (every_record_ && commit_error_.ok()) commit_error_ = flush;
-      cv_.NotifyAll();
-      return flush;
-    }
-    pending_.clear();
-    pending_records_ = 0;
-  }
-  // kFlushOnly's durability point is the seal; under kEveryRecord any frame
-  // flushed just now was promised durability before its ack.
-  if (options_.sync_mode == WalSyncMode::kFlushOnly ||
-      (every_record_ && had_pending)) {
+  // kFlushOnly's durability point is the seal; every-record frames were
+  // synced as they were appended.
+  if (options_.sync_mode == WalSyncMode::kFlushOnly) {
     ++syncs_;
-    Status sync = writer_->Sync();
-    if (!sync.ok()) {
-      if (every_record_ && commit_error_.ok()) commit_error_ = sync;
-      cv_.NotifyAll();
-      return sync;
-    }
+    LSMSTATS_RETURN_IF_ERROR(writer_->Sync());
   }
-  durable_seq_ = appended_seq_;
   LSMSTATS_RETURN_IF_ERROR(writer_->Close());
   std::string path = writer_->path();
   writer_.reset();
-  cv_.NotifyAll();
   return std::optional<std::string>(std::move(path));
 }
 
@@ -501,16 +359,11 @@ StatusOr<WalSegmentReplayResult> ReplayWalSegment(Env* env,
   return result;
 }
 
-StatusOr<WalRecoveryResult> RecoverWalSegments(Env* env,
-                                               const std::string& directory,
-                                               const std::string& prefix,
-                                               bool quarantine_corrupt,
-                                               const WalReplayFn& apply) {
-  WalRecoveryResult result;
-  std::vector<std::string> names;
-  LSMSTATS_RETURN_IF_ERROR(env->ListDir(directory, &names));
+std::vector<WalSegmentFile> FindWalSegments(
+    const std::vector<std::string>& names, const std::string& directory,
+    const std::string& prefix) {
   const std::string name_prefix = prefix + "_";
-  std::vector<std::pair<uint64_t, std::string>> segments;  // (seq, path)
+  std::vector<WalSegmentFile> segments;
   for (const std::string& filename : names) {
     if (filename.rfind(name_prefix, 0) != 0) continue;
     if (filename.size() <= name_prefix.size() + kWalSuffixLen ||
@@ -521,15 +374,32 @@ StatusOr<WalRecoveryResult> RecoverWalSegments(Env* env,
         name_prefix.size(),
         filename.size() - name_prefix.size() - kWalSuffixLen);
     if (!IsAllDigits(id_text)) continue;  // foreign file
-    segments.emplace_back(std::strtoull(id_text.c_str(), nullptr, 10),
-                          directory + "/" + filename);
+    segments.push_back(WalSegmentFile{
+        std::strtoull(id_text.c_str(), nullptr, 10),
+        directory + "/" + filename});
   }
-  std::sort(segments.begin(), segments.end());  // oldest first
-  if (!segments.empty()) result.next_sequence = segments.back().first + 1;
+  std::sort(segments.begin(), segments.end(),
+            [](const WalSegmentFile& a, const WalSegmentFile& b) {
+              return std::tie(a.sequence, a.path) <
+                     std::tie(b.sequence, b.path);
+            });
+  return segments;
+}
+
+StatusOr<WalRecoveryResult> RecoverWalSegments(Env* env,
+                                               const std::string& directory,
+                                               const std::string& prefix,
+                                               const WalReplayFn& apply) {
+  WalRecoveryResult result;
+  std::vector<std::string> names;
+  LSMSTATS_RETURN_IF_ERROR(env->ListDir(directory, &names));
+  const std::vector<WalSegmentFile> segments =
+      FindWalSegments(names, directory, prefix);
+  if (!segments.empty()) result.next_sequence = segments.back().sequence + 1;
 
   bool mutated = false;
   for (size_t i = 0; i < segments.size(); ++i) {
-    const std::string& path = segments[i].second;
+    const std::string& path = segments[i].path;
     auto replay = ReplayWalSegment(env, path, apply);
     LSMSTATS_RETURN_IF_ERROR(replay.status());
     result.records_applied += replay->records_applied;
@@ -563,14 +433,11 @@ StatusOr<WalRecoveryResult> RecoverWalSegments(Env* env,
     const std::string reason = replay->tail == WalTail::kTorn
                                    ? "torn before newer segments"
                                    : "failed checksum or decode";
-    if (!quarantine_corrupt) {
-      return Status::Corruption("wal segment " + path + " " + reason);
-    }
     LSMSTATS_LOG(kError) << prefix << ": wal segment " << path << " "
                          << reason
                          << "; quarantining it and all newer segments";
     for (size_t j = i; j < segments.size(); ++j) {
-      const std::string& victim = segments[j].second;
+      const std::string& victim = segments[j].path;
       if (!env->FileExists(victim)) continue;
       LSMSTATS_RETURN_IF_ERROR(
           env->RenameFile(victim, victim + ".quarantine"));

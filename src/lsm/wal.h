@@ -3,19 +3,20 @@
 // Without a WAL, a crash loses every record accepted into the mutable and
 // immutable memtables — and with them the synopses those records would have
 // fed (the paper's premise is that *every* record passes through an LSM
-// lifecycle event). The WAL closes that gap: each Put/Delete/PutAntiMatter is
-// appended to a log segment *before* it touches the memtable, and Open()
-// replays surviving segments so accepted records survive a reboot.
+// lifecycle event). The WAL closes that gap: a dataset appends each logical
+// modification to a log segment *before* it touches any index memtable, and
+// Dataset::Open replays surviving segments so accepted records survive a
+// reboot. The dataset is the log's only owner (tools/lint.py rule
+// `wal-owner`): one stream serves its primary, secondary and composite
+// trees, which never log on their own.
 //
-// Segment files are named `<prefix>_<sequence>.wal` in the owning tree's (or
-// dataset's) directory; sequence numbers are monotone, so name order is
-// recency order (the same discovery convention as `<tree-name>_<id>.cmp`
+// Segment files are named `<prefix>_<sequence>.wal` (`<dataset>_wal_<seq>`)
+// in the dataset's directory; sequence numbers are monotone, so name order
+// is recency order (the same discovery convention as `<tree-name>_<id>.cmp`
 // components). A segment holds the records of exactly one memtable
-// incarnation: rotation seals the active segment and the next logged write
-// starts a fresh one; once the corresponding memtable is flushed into a
-// sealed component the segment is obsolete and deleted. A dataset's index
-// trees share one log (see Dataset), which follows the same lifecycle with
-// the dataset sealing around whole-dataset rotations.
+// incarnation: a rotation seals the active segment and the next logged
+// write starts a fresh one; once every tree has flushed the memtables a
+// segment backs, the segment is obsolete and deleted (see Dataset).
 //
 // Record frame (all little-endian, varints/strings via common/coding.h):
 //
@@ -35,23 +36,15 @@
 // like a corrupt component: quarantine, see RecoverWalSegments). Because one
 // CRC covers a whole batch payload and replay decodes a frame completely
 // before applying anything, a batch is replayed all-or-nothing: a reopened
-// tree never observes half a WriteBatch.
+// dataset never observes half a WriteBatch.
 //
 // Durability is governed by WalSyncMode:
-//   * kEveryRecord — an acknowledged write is durable the moment the call
-//     returns, through group commit (below).
+//   * kEveryRecord — each append writes its frame and fsyncs before it
+//     returns, so an acknowledged write is durable.
 //   * kFlushOnly   — fsync only when the segment is sealed at rotation: the
 //     immutable-memtable backlog is durable, the active memtable is not.
 //   * kNone        — never fsync: the OS page cache decides (still recovers
 //     from process crashes, not power loss).
-//
-// Group commit is how kEveryRecord keeps that promise: writers buffer their
-// encoded frames under the log's mutex and wait; the first waiter whose
-// record is not yet durable becomes the leader, writes and fsyncs every
-// buffered frame with one syscall pair, and wakes all waiters whose records
-// the sync covered. A lone writer leads its own group, so this costs it one
-// fsync per record as a plain append-and-sync would. Only the ack is
-// deferred, never the apply order.
 //
 // All file I/O flows through Env (tools/lint.py rule `wal-io` confines the
 // `.wal` suffix and WAL file access to this module), so FaultInjectionEnv
@@ -111,10 +104,9 @@ void EncodeWalRecordFrame(WalOp op, const LsmKey& key, std::string_view value,
 // `*out`. The frame's single CRC makes the batch atomic under replay.
 void EncodeWalBatchFrame(const WriteBatch& batch, std::string* out);
 
-// Appends framed records to one segment file. Never syncs on its own: the
-// owner of the commit protocol (WalLog) decides when the bytes must become
-// durable. Not internally synchronized: callers (WalLog, tests) serialize
-// access themselves.
+// Appends framed records to one segment file. Never syncs on its own: WalLog
+// decides when the bytes must become durable. Not internally synchronized:
+// callers (WalLog, tests) serialize access themselves.
 class WalSegmentWriter {
  public:
   // Creates (truncates) the segment file.
@@ -151,8 +143,7 @@ class WalSegmentWriter {
 struct WalLogOptions {
   Env* env = nullptr;
   std::string directory;
-  // Segment files are `<prefix>_<seq>.wal`: the tree name for a standalone
-  // tree's log, `<dataset>_wal` for a dataset's shared log.
+  // Segment files are `<prefix>_<seq>.wal`; a dataset uses `<name>_wal`.
   std::string prefix;
   WalSyncMode sync_mode = WalSyncMode::kFlushOnly;
   // First unused segment sequence number (from WalRecoveryResult).
@@ -160,74 +151,50 @@ struct WalLogOptions {
   // Free-space watchdog floor: a new segment is only started when the log
   // directory's filesystem reports at least this many free bytes, so a full
   // disk fails the triggering write fast instead of leaving a half-written
-  // segment. 0 disables the probe. Wired from the tree/dataset options'
-  // min_free_bytes.
+  // segment. 0 disables the probe. Wired from the dataset's min_free_bytes.
   uint64_t min_free_bytes = 0;
 };
 
-// A write-ahead log: an append stream over rotating segment files. Under
-// kEveryRecord a group-commit protocol amortizes one fsync across N
-// concurrent writers. WalLog issues every fsync of its segments. Internally
-// synchronized (rank LockRank::kWalLog — acquired under LsmTree::mu_ on a
-// standalone tree's append/seal paths, bare from a dataset's writer and
-// from commit waiters).
+// A write-ahead log: an append stream over rotating segment files, written
+// by one logical writer (the owning Dataset's). WalLog issues every fsync of
+// its segments. Internally synchronized (rank LockRank::kWalLog, taken with
+// no tree lock held) so counters can be read from any thread.
 //
 // Usage contract, in the order a write takes:
-//   1. Append()/AppendBatch() — under the caller's own write critical
-//      section, BEFORE the memtable apply, so log order always equals apply
-//      order. Returns a ticket. Outside kEveryRecord the record is already
-//      committed per the sync mode when this returns.
-//   2. WaitDurable(ticket) — with NO caller lock held. Under kEveryRecord
-//      this blocks until a leader has fsynced the record (electing the
-//      calling thread as leader when none is active); the caller must not
-//      acknowledge the write before this returns OK. In the other modes it
-//      returns immediately.
-//   3. Seal() — under the caller's write critical section, at memtable
-//      rotation. Flushes any buffered frames, syncs per the sync mode,
-//      closes the segment and returns its path (nullopt if no record was
-//      ever logged); the next Append starts a fresh segment.
+//   1. AppendBatch() — BEFORE the memtable applies, so replay covers the
+//      crash window between logging and applying. Under kEveryRecord the
+//      frame is written and fsynced before this returns; in the other
+//      modes it is written only.
+//   2. Seal() — at memtable rotation. Syncs per the sync mode, closes the
+//      segment and returns its path (nullopt if no record was logged since
+//      the last seal); the next append starts a fresh segment.
 //
-// Errors: failures on the caller's own append path (segment creation, a
-// flush-only/none append) are returned to it and are retryable. A commit
-// *leader* failure (or a failed seal) under kEveryRecord is sticky: the
-// on-disk state of every buffered frame is unknown, so acknowledging
-// anything newer would ack above a hole — every current and future
-// every-record writer gets the same error. A caller that applied its write
-// between steps 1 and 2 (a standalone LsmTree does, to keep log order equal
-// to apply order across concurrent writers) leaves that unacknowledged write
-// applied and visible when WaitDurable fails; a Dataset applies only after
-// WaitDurable returns OK.
+// Errors: failing to create a segment, and any append failure outside
+// kEveryRecord, is returned to the caller and is retryable. A failed
+// every-record write or fsync is sticky: the on-disk state of that frame is
+// unknown (the bytes may or may not be there, and a later fsync could make
+// them durable), so acknowledging anything appended after it could ack
+// above a hole. Every later append returns the same error; only a reopen,
+// whose replay decides what the segment holds, clears it.
 class WalLog {
  public:
   explicit WalLog(WalLogOptions options);
-  // Best-effort: flushes buffered frames and closes the active segment,
-  // logging (not raising) failures. Callers needing the error must Seal()
-  // first. Must not race any other member call.
+  // Best-effort: closes the active segment, logging (not raising) a
+  // failure. Callers needing the error must Seal() first.
   ~WalLog();
 
   WalLog(const WalLog&) = delete;
   WalLog& operator=(const WalLog&) = delete;
 
-  // Logs one record / one atomic batch. Returns the commit ticket to pass
-  // to WaitDurable (0 when there is nothing to wait on, e.g. an empty
-  // batch).
-  [[nodiscard]] StatusOr<uint64_t> Append(WalOp op, const LsmKey& key,
-                                          std::string_view value)
-      EXCLUDES(mu_);
-  [[nodiscard]] StatusOr<uint64_t> AppendBatch(const WriteBatch& batch)
-      EXCLUDES(mu_);
+  // Logs one atomic batch as one frame, durable per the sync mode when this
+  // returns OK. An empty batch logs nothing.
+  [[nodiscard]] Status AppendBatch(const WriteBatch& batch) EXCLUDES(mu_);
 
-  // Blocks until every frame up to `ticket` is durable (kEveryRecord) or
-  // returns immediately (the other sync modes). Call with no lock held.
-  [[nodiscard]] Status WaitDurable(uint64_t ticket) EXCLUDES(mu_);
-
-  // Seals the active segment: flushes buffered frames, syncs per the sync
-  // mode, closes the file. Returns the sealed segment's path, or nullopt if
-  // nothing was ever appended since the last seal. On failure the segment
-  // stays open so a retry can re-seal.
+  // Seals the active segment: syncs per the sync mode and closes the file.
+  // Returns the sealed segment's path, or nullopt if nothing was appended
+  // since the last seal. On failure the segment stays open so a retry can
+  // re-seal.
   [[nodiscard]] StatusOr<std::optional<std::string>> Seal() EXCLUDES(mu_);
-
-  WalSyncMode sync_mode() const { return options_.sync_mode; }
 
   // Observability (benchmarks report fsyncs/record from these).
   uint64_t sync_count() const EXCLUDES(mu_);
@@ -235,51 +202,21 @@ class WalLog {
 
  private:
   [[nodiscard]] Status EnsureWriterLocked() REQUIRES(mu_);
-  [[nodiscard]] StatusOr<uint64_t> AppendFrameLocked(std::string frame,
-                                                     uint64_t record_count)
-      REQUIRES(mu_);
-  // Commit leader body: takes every buffered frame, releases mu_ for
-  // the append+fsync (mu_ is re-held on return), publishes the new durable
-  // ticket or the sticky error, and wakes all waiters.
-  void LeadCommitLocked() REQUIRES(mu_);
 
   const WalLogOptions options_;
-  // kEveryRecord: appends buffer and WaitDurable runs the commit protocol.
-  const bool every_record_;
 
   mutable Mutex mu_{LockRank::kWalLog, "wal_log"};
-  CondVar cv_;
   std::unique_ptr<WalSegmentWriter> writer_ GUARDED_BY(mu_);
   uint64_t next_sequence_ GUARDED_BY(mu_);
-  // Frames buffered by every-record appends, awaiting a leader.
-  std::string pending_ GUARDED_BY(mu_);
-  uint64_t pending_records_ GUARDED_BY(mu_) = 0;
-  // Tickets: appended_seq_ counts frames logged, durable_seq_ the prefix
-  // known durable. Equal except between an every-record append and its
-  // leader's fsync.
-  uint64_t appended_seq_ GUARDED_BY(mu_) = 0;
-  uint64_t durable_seq_ GUARDED_BY(mu_) = 0;
-  // True while a leader owns the segment file outside mu_; Seal() and
-  // leader election wait on it.
-  bool sync_in_progress_ GUARDED_BY(mu_) = false;
-  // Size of the most recent committed group. A would-be leader whose
-  // pending set is smaller than this stalls one short window before
-  // syncing: right after a group commits, its writers race back with their
-  // next record, and whoever arrives first would otherwise burn an fsync on
-  // a near-empty group while the rest are microseconds behind. The hint
-  // decays to the solo group size after one commit, so a lone writer never
-  // stalls twice.
-  uint64_t last_group_records_ GUARDED_BY(mu_) = 0;
-  // Sticky commit failure (kEveryRecord only); see the class comment.
+  // Sticky every-record write/fsync failure; see the class comment.
   Status commit_error_ GUARDED_BY(mu_);
   uint64_t syncs_ GUARDED_BY(mu_) = 0;
   uint64_t records_ GUARDED_BY(mu_) = 0;
 };
 
 // Invoked for each replayed record, oldest first. `tree_id` is 0 for
-// single-record frames and for batch entries logged by a standalone tree; a
-// dataset's shared log tags each batch entry with the owning index tree (see
-// Dataset's tree-id assignment).
+// single-record frames; a dataset's log tags each batch entry with the
+// owning index tree (see Dataset's tree-id assignment).
 using WalReplayFn = std::function<void(
     uint32_t tree_id, WalOp op, const LsmKey& key, std::string_view value)>;
 
@@ -322,6 +259,18 @@ struct WalRecoveryResult {
   bool truncated_torn_tail = false;
 };
 
+// One `<prefix>_<seq>.wal` segment found in a directory listing.
+struct WalSegmentFile {
+  uint64_t sequence = 0;
+  std::string path;  // `<directory>/<file name>`
+};
+
+// The `<prefix>_<digits>.wal` entries of `names` (a listing of
+// `directory`), oldest first. Names with other shapes are ignored.
+std::vector<WalSegmentFile> FindWalSegments(
+    const std::vector<std::string>& names, const std::string& directory,
+    const std::string& prefix);
+
 // Discovers `<prefix>_<seq>.wal` segments in `directory` and replays them
 // oldest to newest through `apply`. Outcomes per segment:
 //
@@ -330,21 +279,19 @@ struct WalRecoveryResult {
 //   * torn tail, final segment — truncated at the last whole frame; the
 //     replayed prefix is kept. Only a suffix of acknowledged-but-unsynced
 //     writes is lost, so recovery stays prefix-consistent.
-//   * mid-log corruption (or a torn non-final segment) — with
-//     `quarantine_corrupt` the segment and every newer one are renamed to
-//     `<file>.quarantine` (keeping newer records above a hole would break
-//     prefix consistency, exactly as with components); without it the
-//     Corruption error is returned and the tree refuses to open.
+//   * mid-log corruption (or a torn non-final segment) — the segment and
+//     every newer one are renamed to `<file>.quarantine` (keeping newer
+//     records above a hole would break prefix consistency, exactly as with
+//     components).
 //
 // The directory is fsynced when any file was deleted/renamed/truncated.
 [[nodiscard]]
 StatusOr<WalRecoveryResult> RecoverWalSegments(Env* env,
                                                const std::string& directory,
                                                const std::string& prefix,
-                                               bool quarantine_corrupt,
                                                const WalReplayFn& apply);
 
-// Removes obsolete segment files (after their memtable flushed durably).
+// Removes obsolete segment files (after their memtables flushed durably).
 [[nodiscard]]
 Status DeleteWalSegments(Env* env, const std::vector<std::string>& segments);
 

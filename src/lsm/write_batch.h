@@ -1,20 +1,18 @@
 // WriteBatch: an ordered group of modifications committed atomically.
 //
-// A batch is the unit of both write-path amortization and crash atomicity:
+// A batch is the unit of a dataset's commit and of crash atomicity:
 //
-//   * LsmTree::Write(WriteBatch) logs the whole batch as ONE write-ahead-log
-//     frame (one CRC, one fsync under every-record sync) and applies every
-//     entry to the memtable under a single lock acquisition, instead of one
-//     log frame + one lock round-trip per record.
+//   * Dataset mutations (Insert/Update/Delete/PutBatch/DeleteBatch) build
+//     one batch spanning the primary, secondary, and composite index
+//     trees. Entries carry tree ids, so with the dataset's WAL one logical
+//     multi-index modification is logged — and fsynced under every-record
+//     sync — exactly once, as ONE write-ahead-log frame
+//     (WalLog::AppendBatch).
 //   * Recovery replays a batch frame all-or-nothing: the frame's CRC covers
 //     every entry, so a torn or corrupt batch is dropped in its entirety —
-//     a reopened tree never observes half a batch.
-//   * Dataset::PutBatch/DeleteBatch build one batch spanning the primary,
-//     secondary, and composite index trees; with the shared per-dataset WAL
-//     the entries carry tree ids, so one logical multi-index modification is
-//     logged and fsynced exactly once.
+//     a reopened dataset never observes half a batch.
 //
-// A WriteBatch is a plain value type: build it up, hand it to Write(), reuse
+// A WriteBatch is a plain value type: build it up, hand it to the log, reuse
 // or discard it. It performs no I/O and takes no locks itself.
 
 #ifndef LSMSTATS_LSM_WRITE_BATCH_H_
@@ -30,17 +28,16 @@
 
 namespace lsmstats {
 
-// One operation inside a WriteBatch. `tree_id` routes the entry when the
-// batch spans a dataset's index trees over a shared WAL (the dataset assigns
-// 0 = primary, then secondaries, then composites, in schema order);
-// LsmTree::Write applies every entry to its own memtable and ignores it.
+// One operation inside a WriteBatch. `tree_id` routes the entry to one of a
+// dataset's index trees (the dataset assigns 0 = primary, then secondaries,
+// then composites, in schema order).
 struct WriteBatchEntry {
   uint32_t tree_id = 0;
   WalOp op = WalOp::kPut;
   LsmKey key;
   std::string value;
-  // Not logged: replay is pessimistic about anti-matter placement, exactly
-  // like single-record replay (see LsmTree::Open). Live applies honor it.
+  // Not logged: replay is pessimistic about anti-matter placement (see
+  // Dataset::Open). Live applies honor it.
   bool fresh_insert = false;
 };
 

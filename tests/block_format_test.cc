@@ -348,8 +348,19 @@ TEST(BlockCacheTest, EvictedBlocksSurviveForHolders) {
   EXPECT_EQ((*held)[0], 'a');
 }
 
+// Erases blocks (file_id, 0..offsets-1), the way a component erases its
+// own block offsets; returns how many were held.
+uint64_t EraseFileBlocks(BlockCache& cache, uint64_t file_id,
+                         uint64_t offsets) {
+  uint64_t removed = 0;
+  for (uint64_t offset = 0; offset < offsets; ++offset) {
+    if (cache.Erase(file_id, offset)) ++removed;
+  }
+  return removed;
+}
+
 TEST(BlockCacheTest, EraseDropsExactlyOneFilesBlocks) {
-  // Several shards so Erase has to visit all of them.
+  // Several shards, so one file's blocks spread across all of them.
   BlockCache cache(1 << 20, /*shard_count=*/4);
   for (uint64_t offset = 0; offset < 8; ++offset) {
     cache.Insert(1, offset, MakeBlock(100, 'a'));
@@ -358,7 +369,7 @@ TEST(BlockCacheTest, EraseDropsExactlyOneFilesBlocks) {
   uint64_t charge_before = cache.GetStats().charge;
   uint64_t misses_before = cache.GetStats().misses;
 
-  EXPECT_EQ(cache.Erase(1), 8u);
+  EXPECT_EQ(EraseFileBlocks(cache, 1, 8), 8u);
   BlockCache::Stats stats = cache.GetStats();
   // Dropped entries are not LRU evictions: a dead file's blocks leaving the
   // cache must not read as cache pressure.
@@ -372,8 +383,8 @@ TEST(BlockCacheTest, EraseDropsExactlyOneFilesBlocks) {
     ASSERT_NE(cache.Lookup(2, offset), nullptr);
   }
   // Erasing an absent file is a harmless no-op.
-  EXPECT_EQ(cache.Erase(1), 0u);
-  EXPECT_EQ(cache.Erase(99), 0u);
+  EXPECT_EQ(EraseFileBlocks(cache, 1, 8), 0u);
+  EXPECT_EQ(EraseFileBlocks(cache, 99, 8), 0u);
 }
 
 TEST(BlockCacheTest, FileIdsAreProcessUnique) {
@@ -397,7 +408,7 @@ TEST(BlockCacheTest, ChargeStaysExactAcrossEraseAndShrink) {
   ASSERT_EQ(cache.GetStats().charge, cache.DebugComputeCharge());
 
   // Erase file 1 while handles to some of its blocks are still live.
-  cache.Erase(1);
+  EraseFileBlocks(cache, 1, 32);
   EXPECT_EQ(cache.GetStats().charge, cache.DebugComputeCharge());
   for (const auto& handle : held) {
     ASSERT_NE(handle, nullptr);
@@ -437,7 +448,7 @@ TEST(BlockCacheTest, ChargeInvariantUnderConcurrentGetErase) {
   threads.emplace_back([&cache, &stop] {
     uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      cache.Erase(1 + i % 3);
+      EraseFileBlocks(cache, 1 + i % 3, 64);
       cache.SetCapacity(16 << 10);
       cache.SetCapacity(64 << 10);
       ++i;

@@ -653,157 +653,5 @@ TEST(ClusterConcurrency, ConcurrentNodesDropNoStatistics) {
   EXPECT_GT(estimate, 0.0);
 }
 
-// ----------------------------------------------- Group commit, multi-writer
-
-// N threads hammer one every-record-sync tree, which commits through the
-// log's group commit. This is the scenario the leader/follower protocol
-// exists for: every thread's ack must imply durability, and amortization
-// must actually happen (fewer fsyncs than records once writers pile up
-// behind a leader).
-TEST(GroupCommitConcurrency, MultiWriterAcksAreDurableAndAmortized) {
-  TempDir dir;
-  FaultInjectionEnv env;
-  LsmTreeOptions options;
-  options.directory = dir.path();
-  options.memtable_max_entries = 1u << 20;  // no rotation mid-test
-  options.env = &env;
-  options.wal = true;
-  options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  auto tree = LsmTree::Open(options).value();
-
-  constexpr int kWriters = 8;
-  constexpr int64_t kPerWriter = 200;
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      for (int64_t i = 0; i < kPerWriter; ++i) {
-        int64_t key = static_cast<int64_t>(w) * kPerWriter + i;
-        ASSERT_TRUE(tree->Put(PrimaryKey(key), "v" + std::to_string(key),
-                              true)
-                        .ok());
-      }
-    });
-  }
-  for (auto& writer : writers) writer.join();
-
-  const uint64_t records = tree->WalRecordsLogged();
-  const uint64_t syncs = tree->WalSyncCount();
-  EXPECT_EQ(records, static_cast<uint64_t>(kWriters) * kPerWriter);
-  // Group commit never syncs more than once per record, and with 8 writers
-  // contending it should amortize well below that. Keep the hard bound
-  // loose (scheduling may serialize unlucky runs) but assert the invariant.
-  EXPECT_LE(syncs, records);
-
-  // Power loss after the last ack: every acknowledged record must survive.
-  ASSERT_TRUE(env.DropUnsyncedData().ok());
-  auto reopened = LsmTree::Open(options).value();
-  std::string value;
-  for (int64_t k = 0; k < kWriters * kPerWriter; ++k) {
-    ASSERT_TRUE(reopened->Get(PrimaryKey(k), &value).ok()) << "key " << k;
-    EXPECT_EQ(value, "v" + std::to_string(k));
-  }
-}
-
-// Concurrent writers mixing single Puts and atomic WriteBatches, with a
-// memtable small enough to force rotations (and thus segment seals) while
-// leaders are in flight — the lock dance TSan should chew on.
-TEST(GroupCommitConcurrency, MixedBatchesAndRotationsStayConsistent) {
-  TempDir dir;
-  LsmTreeOptions options;
-  options.directory = dir.path();
-  options.memtable_max_entries = 64;
-  options.wal = true;
-  options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  auto tree = LsmTree::Open(options).value();
-
-  constexpr int kWriters = 4;
-  constexpr int64_t kBatchesPerWriter = 50;
-  constexpr int64_t kBatchSize = 4;
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      const int64_t base =
-          static_cast<int64_t>(w) * kBatchesPerWriter * (kBatchSize + 1);
-      for (int64_t b = 0; b < kBatchesPerWriter; ++b) {
-        WriteBatch batch;
-        int64_t key = base + b * (kBatchSize + 1);
-        for (int64_t i = 0; i < kBatchSize; ++i) {
-          batch.Put(PrimaryKey(key + i), "b", true);
-        }
-        ASSERT_TRUE(tree->Write(std::move(batch)).ok());
-        ASSERT_TRUE(tree->Put(PrimaryKey(key + kBatchSize), "s", true).ok());
-      }
-    });
-  }
-  for (auto& writer : writers) writer.join();
-
-  const int64_t total = kWriters * kBatchesPerWriter * (kBatchSize + 1);
-  EXPECT_EQ(tree->WalRecordsLogged(), static_cast<uint64_t>(total));
-  ASSERT_TRUE(tree->Flush().ok());
-  EXPECT_EQ(tree->ScanCount(PrimaryKey(0), PrimaryKey(total)).value(),
-            static_cast<uint64_t>(total));
-
-  // Everything flushed: every segment must be retired.
-  auto reopened = LsmTree::Open(options).value();
-  EXPECT_EQ(
-      reopened->ScanCount(PrimaryKey(0), PrimaryKey(total)).value(),
-      static_cast<uint64_t>(total));
-}
-
-// Writers racing a failing fsync: once a group-commit leader hits the
-// injected error, the log's sticky error must surface to every waiter, no
-// ack may slip through above the hole, and no thread may hang.
-TEST(GroupCommitConcurrency, LeaderFailureSurfacesToEveryWaiter) {
-  TempDir dir;
-  FaultInjectionEnv env;
-  LsmTreeOptions options;
-  options.directory = dir.path();
-  options.memtable_max_entries = 1u << 20;
-  options.env = &env;
-  options.wal = true;
-  options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  auto tree = LsmTree::Open(options).value();
-
-  // Sync #1 is the directory fsync of the segment creation; sync #2 is the
-  // first group-commit leader's data fsync — the one that fails.
-  env.FailNthSync(2);
-  constexpr int kWriters = 6;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> writers;
-  std::vector<int> failed(kWriters, 0);  // int, not bool: one slot a thread
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      Status s = tree->Put(PrimaryKey(100 + w), "x", true);
-      if (!s.ok()) {
-        ++failures;
-        failed[w] = 1;
-      }
-    });
-  }
-  for (auto& writer : writers) writer.join();
-  // At least the records covered by the failed leader commit were refused;
-  // the sticky error keeps later appends failing too, so no write that
-  // raced the failure was acknowledged as durable.
-  EXPECT_GE(failures.load(), 1);
-  EXPECT_GE(env.InjectedFailureCount(), 1u);
-  // A standalone tree applies a write before its commit, so the writes the
-  // failed leader covered stay applied and visible although refused; the
-  // writes refused at append by the sticky error were never applied.
-  int refused_but_visible = 0;
-  std::string value;
-  for (int w = 0; w < kWriters; ++w) {
-    Status s = tree->Get(PrimaryKey(100 + w), &value);
-    if (!failed[w]) {
-      EXPECT_TRUE(s.ok()) << "acked write " << w << " lost";
-    } else if (s.ok()) {
-      ++refused_but_visible;
-    }
-  }
-  EXPECT_GE(refused_but_visible, 1);
-}
-
 }  // namespace
 }  // namespace lsmstats

@@ -16,8 +16,10 @@
 
 #include "common/env.h"
 #include "common/error_taxonomy.h"
+#include "db/dataset.h"
 #include "lsm/lsm_tree.h"
 #include "lsm/scheduler.h"
+#include "workload/tweets.h"
 
 namespace lsmstats {
 namespace {
@@ -302,22 +304,28 @@ TEST_F(ErrorRecoveryTest, WatchdogStopsFlushBeforeAnyFileAppears) {
 
 TEST_F(ErrorRecoveryTest, WatchdogStopsWalSegmentCreation) {
   FaultInjectionEnv env;
-  LsmTreeOptions options = BaseOptions(&env);
+  DatasetOptions options;
+  options.directory = dir_;
+  options.name = "tweets";
+  options.schema = TweetSchema(ValueDomain(0, 14));
+  options.env = &env;
   options.wal = true;
   options.min_free_bytes = 1u << 20;
-  auto tree = LsmTree::Open(options).value();
+  auto dataset = Dataset::Open(options).value();
+  Record record;
+  record.pk = 1;
+  record.fields = {2, 0};
 
-  // Disk "fills" before the first Put, so the first WAL segment would be
+  // Disk "fills" before the first Insert, so the first WAL segment would be
   // born onto a full disk — the probe refuses to create it and the write
-  // fails before touching the memtable.
+  // fails before touching any memtable.
   env.SetFreeSpaceBudget(1000);
-  Status put = tree->Put(PrimaryKey(1), "v", true);
-  ASSERT_FALSE(put.ok());
-  EXPECT_NE(put.message().find("wal segment creation aborted"),
+  Status insert = dataset->Insert(record);
+  ASSERT_FALSE(insert.ok());
+  EXPECT_NE(insert.message().find("wal segment creation aborted"),
             std::string::npos)
-      << put.ToString();
-  std::string value;
-  EXPECT_EQ(tree->Get(PrimaryKey(1), &value).code(), StatusCode::kNotFound);
+      << insert.ToString();
+  EXPECT_EQ(dataset->Get(1).status().code(), StatusCode::kNotFound);
   std::vector<std::string> names;
   ASSERT_TRUE(env.ListDir(dir_, &names).ok());
   for (const std::string& name : names) {
@@ -325,9 +333,9 @@ TEST_F(ErrorRecoveryTest, WatchdogStopsWalSegmentCreation) {
   }
 
   env.ClearFreeSpaceBudget();
-  Status retried = tree->Put(PrimaryKey(1), "v", true);
+  Status retried = dataset->Insert(record);
   ASSERT_TRUE(retried.ok()) << retried.ToString();
-  EXPECT_TRUE(tree->Get(PrimaryKey(1), &value).ok());
+  EXPECT_TRUE(dataset->Get(1).ok());
 }
 
 // ------------------------------------------------- interruptible recovery

@@ -305,18 +305,16 @@ std::shared_ptr<MergePolicy> SweepLeveledPolicy() {
 }
 
 // Ingest keys 0..N-1 in order with periodic flushes, then merge everything.
-// Returns the first error (expected when a crash is scheduled). `wal` sets
-// LsmTreeOptions::wal (flush-only sync); `policy` sets the merge policy
-// (null = NoMerge).
-Status RunWorkload(Env* env, const std::string& dir, bool wal,
-                   std::shared_ptr<MergePolicy> policy = nullptr) {
+// Returns the first error (expected when a crash is scheduled). `policy`
+// sets the merge policy (null = NoMerge).
+Status RunWorkload(Env* env, const std::string& dir,
+                   std::shared_ptr<MergePolicy> policy) {
   LsmTreeOptions options;
   options.directory = dir;
   options.name = "t";
   options.memtable_max_entries = 20;
   options.env = env;
   options.write_options = SweepWriteOptions();
-  options.wal = wal;
   options.merge_policy = std::move(policy);
   auto tree_or = LsmTree::Open(options);
   LSMSTATS_RETURN_IF_ERROR(tree_or.status());
@@ -333,15 +331,14 @@ Status RunWorkload(Env* env, const std::string& dir, bool wal,
 // semantics, and check the recovery invariants each time. `make_policy` (may
 // return null) builds a fresh policy per run so no state leaks across runs.
 void SweepAllCrashPoints(
-    const std::string& base_dir, bool wal,
-    const std::function<std::shared_ptr<MergePolicy>()>& make_policy =
-        [] { return std::shared_ptr<MergePolicy>(); }) {
+    const std::string& base_dir,
+    const std::function<std::shared_ptr<MergePolicy>()>& make_policy) {
   // Clean run to size the sweep.
   uint64_t total_ops;
   {
     std::string clean_dir = base_dir + "/clean";
     FaultInjectionEnv env;
-    ASSERT_TRUE(RunWorkload(&env, clean_dir, wal, make_policy()).ok());
+    ASSERT_TRUE(RunWorkload(&env, clean_dir, make_policy()).ok());
     total_ops = env.MutatingOpCount();
     ASSERT_GT(total_ops, 20u);  // the workload is non-trivial
   }
@@ -351,7 +348,7 @@ void SweepAllCrashPoints(
     std::string run_dir = base_dir + "/run" + std::to_string(crash_at);
     FaultInjectionEnv env;
     env.CrashAtMutatingOp(crash_at);
-    Status died = RunWorkload(&env, run_dir, wal, make_policy());
+    Status died = RunWorkload(&env, run_dir, make_policy());
     EXPECT_FALSE(died.ok());  // the crash point is within the workload
     // Power loss: un-synced bytes vanish, then the "machine" reboots.
     env.ClearFaults();
@@ -364,21 +361,18 @@ void SweepAllCrashPoints(
     options.memtable_max_entries = 20;
     options.env = &env;
     options.write_options = SweepWriteOptions();
-    options.wal = wal;
     options.merge_policy = make_policy();
     auto tree_or = LsmTree::Open(options);
     ASSERT_TRUE(tree_or.ok()) << tree_or.status().ToString();
     auto& tree = *tree_or;
 
-    // Invariant 2: no temporaries survive recovery — and with the WAL
-    // off, no log segment may ever have existed.
+    // Invariant 2: no temporaries survive recovery, and a tree never
+    // creates a log segment (its dataset owns the only log).
     std::vector<std::string> names;
     ASSERT_TRUE(env.ListDir(run_dir, &names).ok());
     for (const std::string& name : names) {
       EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
-      if (!wal) {
-        EXPECT_EQ(name.find(".wal"), std::string::npos) << name;
-      }
+      EXPECT_EQ(name.find(".wal"), std::string::npos) << name;
     }
 
     // Invariant 3: the recovered live set is a prefix {0..m-1} of the
@@ -401,119 +395,129 @@ void SweepAllCrashPoints(
   }
 }
 
-// With the flush-only WAL on, log creation, append, seal-on-flush and
-// segment deletion all fall inside the crash window; the recovered live set
-// must still be an insertion-order prefix.
-TEST_F(FaultInjectionTest, CrashPointSweep) {
-  SweepAllCrashPoints(dir_, /*wal=*/true);
-}
-
-// The WAL-off path must behave exactly as before the WAL existed and never
-// create a log segment.
+// A tree has no log, so memtable contents die with a crash and durability
+// starts at the component seal; the recovered live set must still be an
+// insertion-order prefix.
 TEST_F(FaultInjectionTest, CrashPointSweepWithWalPinnedOff) {
-  SweepAllCrashPoints(dir_, /*wal=*/false);
+  SweepAllCrashPoints(dir_, [] { return std::shared_ptr<MergePolicy>(); });
 }
 
 // The same sweep under leveled compaction: every recovery must cope with a
 // manifest (possibly mid-rewrite), leveled multi-component installs, and
-// interrupted input unlinks — the paths the merge-free sweeps never reach.
+// interrupted input unlinks — the paths the merge-free sweep never reaches.
 TEST_F(FaultInjectionTest, CrashPointSweepWithLeveledCompaction) {
-  SweepAllCrashPoints(dir_, /*wal=*/false, SweepLeveledPolicy);
+  SweepAllCrashPoints(dir_, SweepLeveledPolicy);
 }
 
-// ------------------------------------------------- WAL every-record sweep
+// ------------------------------------------------- dataset WAL sweeps
 
-// Ingest through a WAL-enabled tree under every-record sync, recording each
-// key whose Put was acknowledged. Rotations, the final flush, and the merge
-// put WAL creation, append, fsync, and deletion inside the crash window.
-Status RunWalWorkload(Env* env, const std::string& dir,
-                      std::vector<int64_t>* acked) {
-  LsmTreeOptions options;
+constexpr int64_t kWalSweepRecords = 30;
+
+DatasetOptions WalSweepOptions(Env* env, const std::string& dir,
+                               WalSyncMode sync_mode) {
+  DatasetOptions options;
   options.directory = dir;
-  options.name = "t";
+  options.name = "ds";
+  options.schema = TweetSchema(ValueDomain(0, 14));
   options.memtable_max_entries = 10;
   options.env = env;
-  options.write_options = SweepWriteOptions();
+  options.compression = "delta";
   options.wal = true;
-  options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  auto tree_or = LsmTree::Open(options);
-  LSMSTATS_RETURN_IF_ERROR(tree_or.status());
-  auto& tree = *tree_or;
-  for (int64_t k = 0; k < 30; ++k) {
-    LSMSTATS_RETURN_IF_ERROR(
-        tree->Put(PrimaryKey(k), "v" + std::to_string(k), true));
-    if (acked != nullptr) acked->push_back(k);
-  }
-  LSMSTATS_RETURN_IF_ERROR(tree->Flush());
-  return tree->ForceFullMerge();
+  options.wal_sync_mode = sync_mode;
+  return options;
 }
 
-TEST_F(FaultInjectionTest, WalEveryRecordCrashSweepLosesNoAckedWrite) {
+// Inserts pks 0..kWalSweepRecords-1 in order through a WAL-on dataset, then
+// flushes and fully merges. Appends each pk to `acked` once its Insert was
+// acknowledged. The small memtable bound puts segment creation, appends,
+// syncs, seals and reclamation inside the crash window alongside flushes.
+Status RunWalWorkload(Env* env, const std::string& dir, WalSyncMode sync_mode,
+                      std::vector<int64_t>* acked) {
+  auto dataset_or = Dataset::Open(WalSweepOptions(env, dir, sync_mode));
+  LSMSTATS_RETURN_IF_ERROR(dataset_or.status());
+  auto& dataset = *dataset_or;
+  for (int64_t pk = 0; pk < kWalSweepRecords; ++pk) {
+    Record record;
+    record.pk = pk;
+    record.fields = {pk % 5, 0};
+    record.payload = "v" + std::to_string(pk);
+    LSMSTATS_RETURN_IF_ERROR(dataset->Insert(record));
+    if (acked != nullptr) acked->push_back(pk);
+  }
+  LSMSTATS_RETURN_IF_ERROR(dataset->Flush());
+  return dataset->ForceFullMerge();
+}
+
+// Crash RunWalWorkload at every mutating filesystem op, reboot with
+// power-loss semantics, and check recovery. Under every-record sync every
+// acknowledged insert must survive; under any sync mode the live set is an
+// insertion-order prefix, the same in every index.
+void SweepWalCrashPoints(const std::string& base_dir, WalSyncMode sync_mode) {
   uint64_t total_ops;
   {
-    std::string clean_dir = dir_ + "/clean";
+    std::string clean_dir = base_dir + "/clean";
     FaultInjectionEnv env;
     std::vector<int64_t> acked;
-    ASSERT_TRUE(RunWalWorkload(&env, clean_dir, &acked).ok());
-    ASSERT_EQ(acked.size(), 30u);
+    ASSERT_TRUE(RunWalWorkload(&env, clean_dir, sync_mode, &acked).ok());
+    ASSERT_EQ(acked.size(), static_cast<size_t>(kWalSweepRecords));
     total_ops = env.MutatingOpCount();
-    ASSERT_GT(total_ops, 60u);  // every Put contributes an append + fsync
+    ASSERT_GT(total_ops, 20u);  // the workload is non-trivial
   }
 
   for (uint64_t crash_at = 1; crash_at <= total_ops; ++crash_at) {
     SCOPED_TRACE("crash at mutating op " + std::to_string(crash_at));
-    std::string run_dir = dir_ + "/run" + std::to_string(crash_at);
+    std::string run_dir = base_dir + "/run" + std::to_string(crash_at);
     FaultInjectionEnv env;
     env.CrashAtMutatingOp(crash_at);
     std::vector<int64_t> acked;
-    Status died = RunWalWorkload(&env, run_dir, &acked);
-    EXPECT_FALSE(died.ok());
+    Status died = RunWalWorkload(&env, run_dir, sync_mode, &acked);
+    EXPECT_FALSE(died.ok());  // the crash point is within the workload
     env.ClearFaults();
     ASSERT_TRUE(env.DropUnsyncedData().ok());
 
-    LsmTreeOptions options;
-    options.directory = run_dir;
-    options.name = "t";
-    options.memtable_max_entries = 10;
-    options.env = &env;
-    options.write_options = SweepWriteOptions();
-    options.wal = true;
-    options.wal_sync_mode = WalSyncMode::kEveryRecord;
-    auto tree_or = LsmTree::Open(options);
-    ASSERT_TRUE(tree_or.ok()) << tree_or.status().ToString();
-    auto& tree = *tree_or;
+    // Invariant 1: reopen always succeeds.
+    auto dataset_or = Dataset::Open(WalSweepOptions(&env, run_dir, sync_mode));
+    ASSERT_TRUE(dataset_or.ok()) << dataset_or.status().ToString();
+    auto& dataset = *dataset_or;
 
-    // The durability contract: every acknowledged Put survives the crash.
-    std::string value;
-    for (int64_t k : acked) {
-      ASSERT_TRUE(tree->Get(PrimaryKey(k), &value).ok())
-          << "lost acknowledged key " << k;
-      EXPECT_EQ(value, "v" + std::to_string(k));
+    // Invariant 2: the recovered live set is a prefix {0..m-1} of the
+    // insertion order — durability can only cut off a suffix, never punch
+    // holes — and the secondary index holds the same m records.
+    int64_t live = 0;
+    while (live < kWalSweepRecords && dataset->Get(live).ok()) ++live;
+    for (int64_t pk = live; pk < kWalSweepRecords; ++pk) {
+      ASSERT_EQ(dataset->Get(pk).status().code(), StatusCode::kNotFound)
+          << "hole before pk " << pk;
+    }
+    EXPECT_EQ(dataset->CountAll().value(), static_cast<uint64_t>(live));
+    EXPECT_EQ(dataset->CountRange(kTweetMetricField, 0, 14).value(),
+              static_cast<uint64_t>(live));
+
+    // Invariant 3 (every-record): every acknowledged insert survives, with
+    // its value. A record can be durable yet unacknowledged when the crash
+    // hit a later op inside the same Insert, so the prefix may be longer.
+    if (sync_mode == WalSyncMode::kEveryRecord) {
+      ASSERT_GE(static_cast<size_t>(live), acked.size());
+      for (int64_t pk : acked) {
+        auto record = dataset->Get(pk);
+        ASSERT_TRUE(record.ok()) << "lost acknowledged pk " << pk;
+        EXPECT_EQ(record->payload, "v" + std::to_string(pk));
+      }
     }
 
-    // The live set is still a consecutive prefix, at least as long as the
-    // acked run (a record can be durably logged yet unacknowledged when the
-    // crash hit a later op inside the same Put).
-    std::vector<int64_t> keys;
-    ASSERT_TRUE(tree->Scan(PrimaryKey(std::numeric_limits<int64_t>::min()),
-                           PrimaryKey(std::numeric_limits<int64_t>::max()),
-                           [&](const EntryView& e) { keys.push_back(e.key.k0); })
-                    .ok());
-    ASSERT_GE(keys.size(), acked.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(keys[i], static_cast<int64_t>(i));
-    }
-
-    // No leaked temporaries; and once everything is flushed again, no WAL
-    // segment (or orphaned .tmp) may remain either.
+    // Invariant 4: no temporaries survive recovery; the recovered dataset
+    // accepts new writes, and a full flush retires every segment.
     std::vector<std::string> names;
     ASSERT_TRUE(env.ListDir(run_dir, &names).ok());
     for (const std::string& name : names) {
       EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
     }
-    ASSERT_TRUE(tree->Put(PrimaryKey(1000), "post-crash", true).ok());
-    ASSERT_TRUE(tree->Flush().ok());
-    EXPECT_TRUE(tree->Get(PrimaryKey(1000), &value).ok());
+    Record record;
+    record.pk = 1000;
+    record.fields = {1, 0};
+    ASSERT_TRUE(dataset->Insert(record).ok());
+    ASSERT_TRUE(dataset->Flush().ok());
+    EXPECT_TRUE(dataset->Get(1000).ok());
     ASSERT_TRUE(env.ListDir(run_dir, &names).ok());
     for (const std::string& name : names) {
       EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
@@ -522,17 +526,27 @@ TEST_F(FaultInjectionTest, WalEveryRecordCrashSweepLosesNoAckedWrite) {
   }
 }
 
-// ------------------------- group-commit + shared-WAL batch crash sweep
+// Flush-only sync: the active segment is unsynced, so a crash may lose the
+// active memtables, never an older record above a newer one.
+TEST_F(FaultInjectionTest, CrashPointSweep) {
+  SweepWalCrashPoints(dir_, WalSyncMode::kFlushOnly);
+}
+
+TEST_F(FaultInjectionTest, WalEveryRecordCrashSweepLosesNoAckedWrite) {
+  SweepWalCrashPoints(dir_, WalSyncMode::kEveryRecord);
+}
+
+// ---------------------------------------- shared-WAL batch crash sweep
 
 constexpr int64_t kSweepBatches = 8;
 constexpr int64_t kSweepBatchSize = 3;
 
-// Ingest through a dataset's shared WAL under every-record (group-commit)
-// sync, one atomic PutBatch of kSweepBatchSize records at a time
-// (batch b covers pks [b*size, (b+1)*size)). Appends each batch index to
-// `acked` once its PutBatch was acknowledged. The small memtable bound
-// forces mid-run flushes, putting shared-segment sealing and reclamation
-// inside the crash window alongside batch appends and leader fsyncs.
+// Ingest through a dataset's shared WAL under every-record sync, one atomic
+// PutBatch of kSweepBatchSize records at a time (batch b covers pks
+// [b*size, (b+1)*size)). Appends each batch index to `acked` once its
+// PutBatch was acknowledged. The small memtable bound forces mid-run
+// flushes, putting shared-segment sealing and reclamation inside the crash
+// window alongside batch appends and their fsyncs.
 Status RunSharedBatchWorkload(Env* env, const std::string& dir,
                               std::vector<int64_t>* acked) {
   DatasetOptions options;

@@ -231,6 +231,11 @@ TEST(FormatCompat, DeleteFileEvictsTheComponentsCachedBlocks) {
   uint64_t misses_before = stats.misses;
   ExpectSameEntries(entries, ReadAll(*live));
   EXPECT_EQ(cache.GetStats().misses, misses_before);
+  // Eviction reports the blocks it dropped, and counts no misses.
+  EXPECT_EQ(dead->EvictCachedBlocks(), 0u);
+  EXPECT_EQ(live->EvictCachedBlocks(), live->block_count());
+  EXPECT_EQ(cache.GetStats().charge, 0u);
+  EXPECT_EQ(cache.GetStats().misses, misses_before);
 }
 
 TEST(FormatCompat, UnknownWriteConfigurationIsRejected) {

@@ -143,7 +143,7 @@ TEST(MemTable, AccountingExactUnderMixedWorkload) {
         mem.Put(PrimaryKey(k), "", false);  // empty value overwrite
         break;
       case 4:
-        mem.Apply(WalOp::kPut, PrimaryKey(k), std::string(64, 'w'), false);
+        mem.Put(PrimaryKey(k), std::string(64, 'w'), false);
         break;
     }
     ASSERT_EQ(mem.ApproximateBytes(), mem.DebugComputeBytes())

@@ -1,6 +1,6 @@
 // Tests for the write-ahead log: segment framing and replay, torn-tail vs
 // mid-log-corruption classification, the recovery policy (truncate / delete /
-// quarantine), LsmTree replay on reopen, and the sync-mode durability
+// quarantine), Dataset replay on reopen, and the sync-mode durability
 // contracts under simulated power loss.
 
 #include <chrono>
@@ -19,6 +19,7 @@
 #include "lsm/lsm_tree.h"
 #include "lsm/scheduler.h"
 #include "lsm/wal.h"
+#include "lsm/write_batch.h"
 #include "workload/tweets.h"
 
 namespace lsmstats {
@@ -71,13 +72,33 @@ class WalTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  LsmTreeOptions Options() {
-    LsmTreeOptions options;
+  // A WAL-on tweets dataset (one secondary index on the metric field).
+  DatasetOptions Options() const {
+    DatasetOptions options;
     options.directory = dir_;
-    options.name = "t";
+    options.name = "tweets";
+    options.schema = TweetSchema(ValueDomain(0, 14));
     options.memtable_max_entries = 100;
     options.wal = true;
     return options;
+  }
+
+  // A record with metric `metric` whose payload names its pk.
+  static Record Tweet(int64_t pk, int64_t metric) {
+    Record record;
+    record.pk = pk;
+    record.fields = {metric, 0};
+    record.payload = "v" + std::to_string(pk);
+    return record;
+  }
+
+  static void ExpectTweet(const Dataset& dataset, int64_t pk,
+                          int64_t metric) {
+    auto record = dataset.Get(pk);
+    ASSERT_TRUE(record.ok()) << "pk " << pk << ": "
+                             << record.status().ToString();
+    EXPECT_EQ(record->fields[0], metric) << "pk " << pk;
+    EXPECT_EQ(record->payload, "v" + std::to_string(pk));
   }
 
   // Basenames of the `.wal` segments currently in the directory.
@@ -151,8 +172,7 @@ TEST_F(WalTest, TornTailClassifiedAndTruncatedByRecovery) {
   // Recovery truncates back to the last whole frame; a second replay of the
   // same segment is then clean with the same record count.
   auto recovery = RecoverWalSegments(
-      env, dir_, "t", /*quarantine_corrupt=*/true,
-      [](uint32_t, WalOp, const LsmKey&, std::string_view) {});
+      env, dir_, "t", [](uint32_t, WalOp, const LsmKey&, std::string_view) {});
   ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
   EXPECT_TRUE(recovery->truncated_torn_tail);
   EXPECT_EQ(recovery->records_applied, 4u);
@@ -207,8 +227,7 @@ TEST_F(WalTest, RecoveryQuarantinesCorruptSegmentAndAllNewer) {
   FlipByte(env, corrupt, frame_size + 1);
 
   auto recovery = RecoverWalSegments(
-      env, dir_, "t", /*quarantine_corrupt=*/true,
-      [](uint32_t, WalOp, const LsmKey&, std::string_view) {});
+      env, dir_, "t", [](uint32_t, WalOp, const LsmKey&, std::string_view) {});
   ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
   // Records behind the damage would replay above a hole; both segments go.
   EXPECT_TRUE(recovery->live_segments.empty());
@@ -221,8 +240,8 @@ TEST_F(WalTest, RecoveryQuarantinesCorruptSegmentAndAllNewer) {
   EXPECT_EQ(recovery->next_sequence, 3u);
 
   // Recovery is idempotent: the quarantined files are invisible to a rerun.
-  auto rerun = RecoverWalSegments(env, dir_, "t", /*quarantine_corrupt=*/true,
-                                  [](uint32_t, WalOp, const LsmKey&, std::string_view) {});
+  auto rerun = RecoverWalSegments(
+      env, dir_, "t", [](uint32_t, WalOp, const LsmKey&, std::string_view) {});
   ASSERT_TRUE(rerun.ok());
   EXPECT_TRUE(rerun->live_segments.empty());
   EXPECT_TRUE(rerun->quarantined_files.empty());
@@ -241,42 +260,39 @@ TEST_F(WalTest, SyncModeStringsRoundTrip) {
             StatusCode::kInvalidArgument);
 }
 
-// ----------------------------------------------------------- tree replay
+// -------------------------------------------------------- dataset replay
 
 TEST_F(WalTest, ReopenReplaysUnflushedWrites) {
   {
-    auto tree = LsmTree::Open(Options()).value();
-    for (int64_t k = 0; k < 10; ++k) {
-      ASSERT_TRUE(
-          tree->Put(PrimaryKey(k), "v" + std::to_string(k), true).ok());
+    auto dataset = Dataset::Open(Options()).value();
+    for (int64_t pk = 0; pk < 10; ++pk) {
+      ASSERT_TRUE(dataset->Insert(Tweet(pk, pk % 5)).ok());
     }
   }  // "crash": nothing was ever flushed to a component
-  auto tree = LsmTree::Open(Options()).value();
-  EXPECT_EQ(tree->ComponentCount(), 0u);  // replayed into the memtable
-  std::string value;
-  for (int64_t k = 0; k < 10; ++k) {
-    ASSERT_TRUE(tree->Get(PrimaryKey(k), &value).ok()) << "key " << k;
-    EXPECT_EQ(value, "v" + std::to_string(k));
-  }
+  auto dataset = Dataset::Open(Options()).value();
+  EXPECT_EQ(dataset->primary()->ComponentCount(), 0u);  // in the memtable
+  for (int64_t pk = 0; pk < 10; ++pk) ExpectTweet(*dataset, pk, pk % 5);
+  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 0, 14).value(), 10u);
   // Flushing persists the replayed records and retires the log.
-  ASSERT_TRUE(tree->Flush().ok());
-  EXPECT_EQ(tree->ComponentCount(), 1u);
+  ASSERT_TRUE(dataset->Flush().ok());
+  EXPECT_EQ(dataset->primary()->ComponentCount(), 1u);
   EXPECT_TRUE(WalFiles().empty());
 }
 
 TEST_F(WalTest, ReplayPreservesUpdatesAndDeletes) {
   {
-    auto tree = LsmTree::Open(Options()).value();
-    ASSERT_TRUE(tree->Put(PrimaryKey(1), "old", true).ok());
-    ASSERT_TRUE(tree->Put(PrimaryKey(2), "gone", true).ok());
-    ASSERT_TRUE(tree->Put(PrimaryKey(1), "new", false).ok());
-    ASSERT_TRUE(tree->Delete(PrimaryKey(2)).ok());
+    auto dataset = Dataset::Open(Options()).value();
+    ASSERT_TRUE(dataset->Insert(Tweet(1, 1)).ok());
+    ASSERT_TRUE(dataset->Insert(Tweet(2, 2)).ok());
+    ASSERT_TRUE(dataset->Update(Tweet(1, 3)).ok());
+    ASSERT_TRUE(dataset->Delete(2).ok());
   }
-  auto tree = LsmTree::Open(Options()).value();
-  std::string value;
-  ASSERT_TRUE(tree->Get(PrimaryKey(1), &value).ok());
-  EXPECT_EQ(value, "new");
-  EXPECT_EQ(tree->Get(PrimaryKey(2), &value).code(), StatusCode::kNotFound);
+  auto dataset = Dataset::Open(Options()).value();
+  ExpectTweet(*dataset, 1, 3);
+  EXPECT_EQ(dataset->Get(2).status().code(), StatusCode::kNotFound);
+  // The secondary index replayed the update's anti-matter and the delete.
+  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 1, 2).value(), 0u);
+  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 3, 3).value(), 1u);
 }
 
 // Replay re-applies puts as non-fresh, so deleting a replayed record writes
@@ -284,58 +300,56 @@ TEST_F(WalTest, ReplayPreservesUpdatesAndDeletes) {
 // still reconcile it when that flush produced the tree's only component.
 TEST_F(WalTest, FullMergeDropsAntiMatterOfReplayedDeletesInLoneComponent) {
   {
-    auto tree = LsmTree::Open(Options()).value();
-    ASSERT_TRUE(tree->Put(PrimaryKey(1), "kept", true).ok());
-    ASSERT_TRUE(tree->Put(PrimaryKey(2), "gone", true).ok());
+    auto dataset = Dataset::Open(Options()).value();
+    ASSERT_TRUE(dataset->Insert(Tweet(1, 1)).ok());
+    ASSERT_TRUE(dataset->Insert(Tweet(2, 2)).ok());
   }
-  auto tree = LsmTree::Open(Options()).value();
-  ASSERT_TRUE(tree->Delete(PrimaryKey(2)).ok());
-  ASSERT_TRUE(tree->Flush().ok());
-  ASSERT_EQ(tree->ComponentCount(), 1u);
-  ASSERT_EQ(tree->ComponentsMetadata()[0].anti_matter_count, 1u);
+  auto dataset = Dataset::Open(Options()).value();
+  ASSERT_TRUE(dataset->Delete(2).ok());
+  ASSERT_TRUE(dataset->Flush().ok());
+  const LsmTree* primary = dataset->primary();
+  ASSERT_EQ(primary->ComponentCount(), 1u);
+  ASSERT_EQ(primary->ComponentsMetadata()[0].anti_matter_count, 1u);
 
-  ASSERT_TRUE(tree->ForceFullMerge().ok());
-  ASSERT_EQ(tree->ComponentCount(), 1u);
-  EXPECT_EQ(tree->ComponentsMetadata()[0].anti_matter_count, 0u);
-  EXPECT_EQ(tree->ComponentsMetadata()[0].record_count, 1u);
-  std::string value;
-  ASSERT_TRUE(tree->Get(PrimaryKey(1), &value).ok());
-  EXPECT_EQ(value, "kept");
-  EXPECT_EQ(tree->Get(PrimaryKey(2), &value).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(dataset->ForceFullMerge().ok());
+  ASSERT_EQ(primary->ComponentCount(), 1u);
+  EXPECT_EQ(primary->ComponentsMetadata()[0].anti_matter_count, 0u);
+  EXPECT_EQ(primary->ComponentsMetadata()[0].record_count, 1u);
+  ExpectTweet(*dataset, 1, 1);
+  EXPECT_EQ(dataset->Get(2).status().code(), StatusCode::kNotFound);
   // With nothing left to reconcile, a further full merge is a no-op.
-  const uint64_t id = tree->ComponentsMetadata()[0].id;
-  ASSERT_TRUE(tree->ForceFullMerge().ok());
-  EXPECT_EQ(tree->ComponentsMetadata()[0].id, id);
+  const uint64_t id = primary->ComponentsMetadata()[0].id;
+  ASSERT_TRUE(dataset->ForceFullMerge().ok());
+  EXPECT_EQ(primary->ComponentsMetadata()[0].id, id);
 }
 
 TEST_F(WalTest, UpdatesStayOrderedAcrossSegmentGenerations) {
   {
-    auto tree = LsmTree::Open(Options()).value();
-    ASSERT_TRUE(tree->Put(PrimaryKey(1), "first", true).ok());
+    auto dataset = Dataset::Open(Options()).value();
+    ASSERT_TRUE(dataset->Insert(Tweet(1, 1)).ok());
   }
   {
-    // The recovered record rides in the memtable backed by its original
+    // The recovered record rides in the memtables backed by its original
     // segment; the new write opens a second segment.
-    auto tree = LsmTree::Open(Options()).value();
-    ASSERT_TRUE(tree->Put(PrimaryKey(1), "second", false).ok());
+    auto dataset = Dataset::Open(Options()).value();
+    ASSERT_TRUE(dataset->Update(Tweet(1, 2)).ok());
     EXPECT_EQ(WalFiles().size(), 2u);
   }
-  auto tree = LsmTree::Open(Options()).value();
-  std::string value;
-  ASSERT_TRUE(tree->Get(PrimaryKey(1), &value).ok());
-  EXPECT_EQ(value, "second");  // newer segment replayed after the older one
+  auto dataset = Dataset::Open(Options()).value();
+  // The newer segment replayed after the older one.
+  ExpectTweet(*dataset, 1, 2);
   // One flush retires both generations.
-  ASSERT_TRUE(tree->Flush().ok());
+  ASSERT_TRUE(dataset->Flush().ok());
   EXPECT_TRUE(WalFiles().empty());
-  ASSERT_TRUE(tree->Get(PrimaryKey(1), &value).ok());
-  EXPECT_EQ(value, "second");
+  ExpectTweet(*dataset, 1, 2);
+  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 1, 1).value(), 0u);
 }
 
 TEST_F(WalTest, TornSegmentTailTruncatedOnReopen) {
   {
-    auto tree = LsmTree::Open(Options()).value();
-    for (int64_t k = 0; k < 5; ++k) {
-      ASSERT_TRUE(tree->Put(PrimaryKey(k), "vv", true).ok());
+    auto dataset = Dataset::Open(Options()).value();
+    for (int64_t pk = 0; pk < 5; ++pk) {
+      ASSERT_TRUE(dataset->Insert(Tweet(pk, 1)).ok());
     }
   }
   auto files = WalFiles();
@@ -343,66 +357,47 @@ TEST_F(WalTest, TornSegmentTailTruncatedOnReopen) {
   std::string path = dir_ + "/" + files[0];
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
 
-  auto tree = LsmTree::Open(Options()).value();
-  // The whole-frame prefix survives; only the sheared final record is lost.
-  std::string value;
-  for (int64_t k = 0; k < 4; ++k) {
-    EXPECT_TRUE(tree->Get(PrimaryKey(k), &value).ok()) << "key " << k;
-  }
-  EXPECT_EQ(tree->Get(PrimaryKey(4), &value).code(), StatusCode::kNotFound);
-  EXPECT_TRUE(tree->QuarantinedFiles().empty());
-  // The recovered tree keeps working and retires the truncated segment.
-  ASSERT_TRUE(tree->Put(PrimaryKey(4), "again", true).ok());
-  ASSERT_TRUE(tree->Flush().ok());
+  auto dataset = Dataset::Open(Options()).value();
+  // The whole-frame prefix survives; only the sheared final insert is lost,
+  // from every index at once.
+  for (int64_t pk = 0; pk < 4; ++pk) ExpectTweet(*dataset, pk, 1);
+  EXPECT_EQ(dataset->Get(4).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 1, 1).value(), 4u);
+  EXPECT_FALSE(std::filesystem::exists(path + ".quarantine"));
+  // The recovered dataset keeps working and retires the truncated segment.
+  ASSERT_TRUE(dataset->Insert(Tweet(4, 1)).ok());
+  ASSERT_TRUE(dataset->Flush().ok());
   EXPECT_TRUE(WalFiles().empty());
-  EXPECT_EQ(tree->ScanCount(PrimaryKey(0), PrimaryKey(10)).value(), 5u);
+  EXPECT_EQ(dataset->CountAll().value(), 5u);
 }
 
 TEST_F(WalTest, CorruptSegmentQuarantinedOnReopen) {
   {
-    auto tree = LsmTree::Open(Options()).value();
-    ASSERT_TRUE(tree->Put(PrimaryKey(0), "aa", true).ok());
-    ASSERT_TRUE(tree->Put(PrimaryKey(1), "bb", true).ok());
-    ASSERT_TRUE(tree->Put(PrimaryKey(2), "cc", true).ok());
+    auto dataset = Dataset::Open(Options()).value();
+    // Same-width records, so the three insert frames are the same size.
+    for (int64_t pk = 0; pk < 3; ++pk) {
+      ASSERT_TRUE(dataset->Insert(Tweet(pk, 1)).ok());
+    }
   }
   auto files = WalFiles();
   ASSERT_EQ(files.size(), 1u);
   std::string path = dir_ + "/" + files[0];
-  const uint64_t frame_size = std::filesystem::file_size(path) / 3;
-  FlipByte(Env::Default(), path, frame_size + 1);  // second frame's CRC
+  const uint64_t size = std::filesystem::file_size(path);
+  ASSERT_EQ(size % 3, 0u);
+  const uint64_t frame_size = size / 3;
+  FlipByte(Env::Default(), path, frame_size + frame_size / 2);  // 2nd payload
 
-  auto tree_or = LsmTree::Open(Options());
-  ASSERT_TRUE(tree_or.ok()) << tree_or.status().ToString();
-  auto& tree = *tree_or;
-  ASSERT_EQ(tree->QuarantinedFiles().size(), 1u);
+  auto dataset_or = Dataset::Open(Options());
+  ASSERT_TRUE(dataset_or.ok()) << dataset_or.status().ToString();
+  auto& dataset = *dataset_or;
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantine"));
   EXPECT_FALSE(std::filesystem::exists(path));
   // Records ahead of the damage were replayed; the rest are lost with the
   // quarantined segment, never silently half-applied.
-  std::string value;
-  ASSERT_TRUE(tree->Get(PrimaryKey(0), &value).ok());
-  EXPECT_EQ(value, "aa");
-  EXPECT_EQ(tree->Get(PrimaryKey(1), &value).code(), StatusCode::kNotFound);
-  EXPECT_EQ(tree->Get(PrimaryKey(2), &value).code(), StatusCode::kNotFound);
-}
-
-TEST_F(WalTest, CorruptSegmentFailsOpenInStrictMode) {
-  {
-    auto tree = LsmTree::Open(Options()).value();
-    ASSERT_TRUE(tree->Put(PrimaryKey(0), "aa", true).ok());
-    ASSERT_TRUE(tree->Put(PrimaryKey(1), "bb", true).ok());
-  }
-  auto files = WalFiles();
-  ASSERT_EQ(files.size(), 1u);
-  std::string path = dir_ + "/" + files[0];
-  FlipByte(Env::Default(), path, std::filesystem::file_size(path) / 2 + 1);
-
-  LsmTreeOptions strict = Options();
-  strict.quarantine_corrupt_components = false;
-  auto tree = LsmTree::Open(strict);
-  ASSERT_FALSE(tree.ok());
-  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
-  EXPECT_TRUE(std::filesystem::exists(path));  // strict mode mutates nothing
+  ExpectTweet(*dataset, 0, 1);
+  EXPECT_EQ(dataset->Get(1).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dataset->Get(2).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 0, 14).value(), 1u);
 }
 
 TEST_F(WalTest, EmptySegmentDeletedAtRecovery) {
@@ -410,145 +405,154 @@ TEST_F(WalTest, EmptySegmentDeletedAtRecovery) {
   // zero-length file; recovery removes it rather than tracking a segment
   // that backs no records.
   {
-    auto writer =
-        WalSegmentWriter::Create(Env::Default(), WalFilePath(dir_, "t", 9));
+    auto writer = WalSegmentWriter::Create(
+        Env::Default(), WalFilePath(dir_, "tweets_wal", 9));
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE((*writer)->Close().ok());
   }
-  auto tree = LsmTree::Open(Options()).value();
+  auto dataset = Dataset::Open(Options()).value();
   EXPECT_TRUE(WalFiles().empty());
   // Sequence numbers still advance past the deleted segment.
-  ASSERT_TRUE(tree->Put(PrimaryKey(1), "x", true).ok());
+  ASSERT_TRUE(dataset->Insert(Tweet(1, 1)).ok());
   auto files = WalFiles();
   ASSERT_EQ(files.size(), 1u);
-  EXPECT_EQ(files[0], "t_10.wal");
+  EXPECT_EQ(files[0], "tweets_wal_10.wal");
 }
 
 TEST_F(WalTest, ExplicitWalOffCreatesNoSegments) {
-  LsmTreeOptions options = Options();
+  DatasetOptions options = Options();
   options.wal = false;
   {
-    auto tree = LsmTree::Open(options).value();
-    for (int64_t k = 0; k < 10; ++k) {
-      ASSERT_TRUE(tree->Put(PrimaryKey(k), "x", true).ok());
+    auto dataset = Dataset::Open(options).value();
+    for (int64_t pk = 0; pk < 10; ++pk) {
+      ASSERT_TRUE(dataset->Insert(Tweet(pk, 1)).ok());
     }
     EXPECT_TRUE(WalFiles().empty());
   }
-  // Pre-WAL semantics: an unflushed memtable dies with the process.
-  auto tree = LsmTree::Open(options).value();
-  std::string value;
-  EXPECT_EQ(tree->Get(PrimaryKey(0), &value).code(), StatusCode::kNotFound);
+  // Pre-WAL semantics: unflushed memtables die with the process.
+  auto dataset = Dataset::Open(options).value();
+  EXPECT_EQ(dataset->Get(0).status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(WalFiles().empty());
 }
 
 TEST_F(WalTest, DisablingWalReplaysAndRetiresOldSegments) {
   {
-    auto tree = LsmTree::Open(Options()).value();
-    ASSERT_TRUE(tree->Put(PrimaryKey(1), "kept", true).ok());
+    auto dataset = Dataset::Open(Options()).value();
+    ASSERT_TRUE(dataset->Insert(Tweet(1, 1)).ok());
   }
   // Reopen with the WAL switched off: the old segment must still be
   // replayed (its records were acknowledged) and retired by the next flush,
   // not silently ignored.
-  LsmTreeOptions off = Options();
+  DatasetOptions off = Options();
   off.wal = false;
-  auto tree = LsmTree::Open(off).value();
-  std::string value;
-  ASSERT_TRUE(tree->Get(PrimaryKey(1), &value).ok());
-  EXPECT_EQ(value, "kept");
-  ASSERT_TRUE(tree->Flush().ok());
+  auto dataset = Dataset::Open(off).value();
+  ExpectTweet(*dataset, 1, 1);
+  ASSERT_TRUE(dataset->Flush().ok());
   EXPECT_TRUE(WalFiles().empty());
+}
+
+// A per-tree log (`<tree>_<seq>.wal`) is retired: a directory holding one is
+// refused by name instead of opening without the records it holds.
+TEST_F(WalTest, DatasetRefusesRetiredPerTreeSegments) {
+  const std::string retired = WalFilePath(dir_, "tweets_pk", 3);
+  {
+    auto writer = WalSegmentWriter::Create(Env::Default(), retired).value();
+    ASSERT_TRUE(writer->Append(WalOp::kPut, PrimaryKey(7), "lost?").ok());
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  auto dataset = Dataset::Open(Options());
+  ASSERT_FALSE(dataset.ok());
+  EXPECT_EQ(dataset.status().code(), StatusCode::kUnimplemented);
+  EXPECT_NE(dataset.status().message().find("retired per-tree WAL"),
+            std::string::npos)
+      << dataset.status().ToString();
+  EXPECT_NE(dataset.status().message().find(retired), std::string::npos)
+      << dataset.status().ToString();
+  EXPECT_TRUE(std::filesystem::exists(retired));  // refusal mutates nothing
 }
 
 // ----------------------------------------------------- sync-mode contracts
 
 TEST_F(WalTest, EveryRecordSyncSurvivesPowerLoss) {
   FaultInjectionEnv env;
-  LsmTreeOptions options = Options();
+  DatasetOptions options = Options();
   options.env = &env;
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
   {
-    auto tree = LsmTree::Open(options).value();
-    for (int64_t k = 0; k < 7; ++k) {
-      ASSERT_TRUE(
-          tree->Put(PrimaryKey(k), "v" + std::to_string(k), true).ok());
+    auto dataset = Dataset::Open(options).value();
+    for (int64_t pk = 0; pk < 7; ++pk) {
+      ASSERT_TRUE(dataset->Insert(Tweet(pk, pk % 5)).ok());
     }
   }
-  // Power loss: everything that was not fsynced vanishes. Every Put fsynced
-  // before acknowledging, so nothing may be lost.
+  // Power loss: everything that was not fsynced vanishes. Every Insert
+  // fsynced before acknowledging, so nothing may be lost.
   ASSERT_TRUE(env.DropUnsyncedData().ok());
-  auto tree = LsmTree::Open(options).value();
-  std::string value;
-  for (int64_t k = 0; k < 7; ++k) {
-    ASSERT_TRUE(tree->Get(PrimaryKey(k), &value).ok()) << "key " << k;
-    EXPECT_EQ(value, "v" + std::to_string(k));
-  }
+  auto dataset = Dataset::Open(options).value();
+  for (int64_t pk = 0; pk < 7; ++pk) ExpectTweet(*dataset, pk, pk % 5);
+  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 0, 14).value(), 7u);
 }
 
 TEST_F(WalTest, FlushOnlySyncMayLoseTheActiveMemtableOnPowerLoss) {
   FaultInjectionEnv env;
-  LsmTreeOptions options = Options();
+  DatasetOptions options = Options();
   options.env = &env;
   options.wal_sync_mode = WalSyncMode::kFlushOnly;
   {
-    auto tree = LsmTree::Open(options).value();
-    for (int64_t k = 0; k < 7; ++k) {
-      ASSERT_TRUE(tree->Put(PrimaryKey(k), "x", true).ok());
+    auto dataset = Dataset::Open(options).value();
+    for (int64_t pk = 0; pk < 7; ++pk) {
+      ASSERT_TRUE(dataset->Insert(Tweet(pk, 1)).ok());
     }
   }
   // Nothing rotated, so nothing was fsynced: the documented contract is
-  // that the active memtable's records are not durable in this mode.
+  // that the active memtables' records are not durable in this mode.
   ASSERT_TRUE(env.DropUnsyncedData().ok());
-  auto tree = LsmTree::Open(options).value();
-  std::string value;
-  EXPECT_EQ(tree->Get(PrimaryKey(0), &value).code(), StatusCode::kNotFound);
-  // The zero-length segment was cleaned up; the tree keeps working.
+  auto dataset = Dataset::Open(options).value();
+  EXPECT_EQ(dataset->Get(0).status().code(), StatusCode::kNotFound);
+  // The zero-length segment was cleaned up; the dataset keeps working.
   EXPECT_TRUE(WalFiles().empty());
-  ASSERT_TRUE(tree->Put(PrimaryKey(100), "y", true).ok());
-  ASSERT_TRUE(tree->Get(PrimaryKey(100), &value).ok());
+  ASSERT_TRUE(dataset->Insert(Tweet(100, 1)).ok());
+  ExpectTweet(*dataset, 100, 1);
 }
 
-// ------------------------------------------------------------ dataset level
-
-TEST_F(WalTest, DatasetReplaysEveryIndexInLockstep) {
-  // Upgrade path: a release that logged per index tree left
-  // `<name>_pk_<seq>.wal` and `<name>_sk_<field>_<seq>.wal` segments behind.
-  // Standalone trees with the dataset's tree names write exactly those.
+// A failed every-record write or fsync leaves that frame's on-disk state
+// unknown, so the log refuses every later append instead of acknowledging
+// one above a possible hole.
+TEST_F(WalTest, EveryRecordSyncFailureIsSticky) {
+  FaultInjectionEnv env;
+  DatasetOptions options = Options();
+  options.env = &env;
+  options.wal_sync_mode = WalSyncMode::kEveryRecord;
   {
-    LsmTreeOptions pk_options = Options();
-    pk_options.name = "tweets_pk";
-    LsmTreeOptions sk_options = Options();
-    sk_options.name = std::string("tweets_sk_") + kTweetMetricField;
-    auto primary = LsmTree::Open(pk_options).value();
-    auto secondary = LsmTree::Open(sk_options).value();
-    for (int64_t pk = 0; pk < 20; ++pk) {
-      Record record;
-      record.pk = pk;
-      record.fields = {pk % 5, 0};
-      Encoder enc;
-      EncodeRecordValue(record, &enc);
-      ASSERT_TRUE(primary->Put(PrimaryKey(pk), enc.Release(), true).ok());
-      ASSERT_TRUE(secondary->Put(SecondaryKey(pk % 5, pk), "", true).ok());
+    auto dataset = Dataset::Open(options).value();
+    for (int64_t pk = 0; pk < 3; ++pk) {
+      ASSERT_TRUE(dataset->Insert(Tweet(pk, 1)).ok());
     }
-  }  // crash before any flush
-  ASSERT_EQ(WalFiles().size(), 2u);
-  DatasetOptions options;
-  options.directory = dir_;
-  options.name = "tweets";
-  options.schema = TweetSchema(ValueDomain(0, 14));
-  options.memtable_max_entries = 100;
-  options.wal = true;
+    // Sync #1 made the segment's directory entry durable; syncs #2-#4 were
+    // the three inserts' fsyncs. The fourth insert's fsync fails.
+    ASSERT_EQ(dataset->WalSyncCount(), 3u);
+    env.FailNthSync(5);
+    Status failed = dataset->Insert(Tweet(3, 1));
+    ASSERT_FALSE(failed.ok());
+    EXPECT_NE(failed.message().find("injected fault"), std::string::npos)
+        << failed.ToString();
+    EXPECT_EQ(dataset->Get(3).status().code(), StatusCode::kNotFound);
+    // The fault was one-shot, yet the next insert gets the same error.
+    Status next = dataset->Insert(Tweet(4, 1));
+    EXPECT_EQ(next.code(), failed.code());
+    EXPECT_EQ(next.message(), failed.message());
+    EXPECT_EQ(dataset->Get(4).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(dataset->live_records(), 3u);
+    EXPECT_EQ(dataset->WalSyncCount(), 4u);  // no fsync after the failure
+  }
+  // Power loss drops the unsynced frame; the reopen recovers exactly the
+  // acknowledged inserts, in every index.
+  env.ClearFaults();
+  ASSERT_TRUE(env.DropUnsyncedData().ok());
   auto dataset = Dataset::Open(options).value();
-  auto record = dataset->Get(7);
-  ASSERT_TRUE(record.ok()) << record.status().ToString();
-  // The secondary index recovered in lockstep with the primary: a range
-  // count that routes through it sees every replayed row.
-  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 2, 2).value(), 4u);
-  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 0, 14).value(), 20u);
-  // The first flush makes the replayed records durable and retires the
-  // per-tree segments; nothing logs per tree any more.
-  ASSERT_TRUE(dataset->Flush().ok());
-  EXPECT_TRUE(WalFiles().empty());
-  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 0, 14).value(), 20u);
+  for (int64_t pk = 0; pk < 3; ++pk) ExpectTweet(*dataset, pk, 1);
+  EXPECT_EQ(dataset->CountAll().value(), 3u);
+  EXPECT_EQ(dataset->CountRange(kTweetMetricField, 1, 1).value(), 3u);
+  ASSERT_TRUE(dataset->Insert(Tweet(3, 1)).ok());  // a reopen clears it
 }
 
 // ------------------------------------------------------------ batch frames
@@ -685,114 +689,65 @@ TEST_F(WalTest, TornBatchFrameDroppedInItsEntirety) {
   EXPECT_EQ(applied, 1u);
 }
 
-TEST_F(WalTest, TreeWriteCommitsBatchAtomicallyAcrossReopen) {
-  LsmTreeOptions options = Options();
-  {
-    auto tree = LsmTree::Open(options).value();
-    WriteBatch batch;
-    for (int64_t k = 0; k < 8; ++k) {
-      batch.Put(PrimaryKey(k), "b" + std::to_string(k), true);
-    }
-    batch.Delete(PrimaryKey(3));
-    ASSERT_TRUE(tree->Write(std::move(batch)).ok());
-    // Batch entries count as logical records in the log's accounting.
-    EXPECT_EQ(tree->WalRecordsLogged(), 9u);
-  }  // crash before any flush
-  auto tree = LsmTree::Open(options).value();
-  std::string value;
-  for (int64_t k = 0; k < 8; ++k) {
-    if (k == 3) {
-      EXPECT_EQ(tree->Get(PrimaryKey(k), &value).code(),
-                StatusCode::kNotFound);
-      continue;
-    }
-    ASSERT_TRUE(tree->Get(PrimaryKey(k), &value).ok()) << "key " << k;
-    EXPECT_EQ(value, "b" + std::to_string(k));
-  }
-}
-
-TEST_F(WalTest, EmptyBatchWriteIsANoOp) {
-  auto tree = LsmTree::Open(Options()).value();
-  ASSERT_TRUE(tree->Write(WriteBatch()).ok());
-  EXPECT_EQ(tree->MemTableEntryCount(), 0u);
-  EXPECT_EQ(tree->WalRecordsLogged(), 0u);
-  EXPECT_TRUE(WalFiles().empty());  // no segment created for nothing
-}
-
-// ------------------------------------------------------------ group commit
+// ------------------------------------------------- every-record commit
 
 TEST_F(WalTest, GroupCommitSingleWriterSurvivesPowerLoss) {
-  // With one writer the caller is always its own commit leader: one fsync
-  // per acknowledged write or batch, and acked => durable still holds.
+  // The dataset's single writer commits inline: one fsync per acknowledged
+  // mutation or batch, and acked => durable.
   FaultInjectionEnv env;
-  LsmTreeOptions options = Options();
+  DatasetOptions options = Options();
   options.env = &env;
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
   {
-    auto tree = LsmTree::Open(options).value();
-    for (int64_t k = 0; k < 7; ++k) {
-      ASSERT_TRUE(
-          tree->Put(PrimaryKey(k), "v" + std::to_string(k), true).ok());
+    auto dataset = Dataset::Open(options).value();
+    for (int64_t pk = 0; pk < 7; ++pk) {
+      ASSERT_TRUE(dataset->Insert(Tweet(pk, 1)).ok());
     }
-    WriteBatch batch;
-    batch.Put(PrimaryKey(100), "batched", true);
-    batch.Put(PrimaryKey(101), "batched", true);
-    ASSERT_TRUE(tree->Write(std::move(batch)).ok());
-    // One fsync per leader commit: 7 singles + 1 batch.
-    EXPECT_EQ(tree->WalSyncCount(), 8u);
-    EXPECT_EQ(tree->WalRecordsLogged(), 9u);
+    ASSERT_TRUE(dataset->PutBatch({Tweet(100, 2), Tweet(101, 2)}).ok());
+    // One fsync per commit: 7 inserts + 1 batch. Each record logs a primary
+    // and a secondary entry.
+    EXPECT_EQ(dataset->WalSyncCount(), 8u);
+    EXPECT_EQ(dataset->WalRecordsLogged(), 18u);
   }
   ASSERT_TRUE(env.DropUnsyncedData().ok());
-  auto tree = LsmTree::Open(options).value();
-  std::string value;
-  for (int64_t k = 0; k < 7; ++k) {
-    ASSERT_TRUE(tree->Get(PrimaryKey(k), &value).ok()) << "key " << k;
-  }
-  ASSERT_TRUE(tree->Get(PrimaryKey(100), &value).ok());
-  ASSERT_TRUE(tree->Get(PrimaryKey(101), &value).ok());
+  auto dataset = Dataset::Open(options).value();
+  for (int64_t pk = 0; pk < 7; ++pk) ExpectTweet(*dataset, pk, 1);
+  ExpectTweet(*dataset, 100, 2);
+  ExpectTweet(*dataset, 101, 2);
 }
 
 TEST_F(WalTest, GroupCommitFlushRetiresSegmentsLikePlainMode) {
-  LsmTreeOptions options = Options();
+  DatasetOptions options = Options();
   options.wal_sync_mode = WalSyncMode::kEveryRecord;
-  auto tree = LsmTree::Open(options).value();
-  for (int64_t k = 0; k < 10; ++k) {
-    ASSERT_TRUE(tree->Put(PrimaryKey(k), "x", true).ok());
+  auto dataset = Dataset::Open(options).value();
+  for (int64_t pk = 0; pk < 10; ++pk) {
+    ASSERT_TRUE(dataset->Insert(Tweet(pk, 1)).ok());
   }
-  ASSERT_TRUE(tree->Flush().ok());
-  EXPECT_EQ(tree->ComponentCount(), 1u);
+  ASSERT_TRUE(dataset->Flush().ok());
+  EXPECT_EQ(dataset->primary()->ComponentCount(), 1u);
   EXPECT_TRUE(WalFiles().empty());
-  EXPECT_EQ(tree->ScanCount(PrimaryKey(0), PrimaryKey(100)).value(), 10u);
+  EXPECT_EQ(dataset->CountAll().value(), 10u);
 }
 
 TEST_F(WalTest, GroupCommitOffOutsideEveryRecordMode) {
-  // Group commit is the every-record protocol only: flush-only sync acks
-  // at once and issues no append-path fsyncs.
-  LsmTreeOptions options = Options();
+  // Only every-record sync fsyncs on the append path: flush-only acks at
+  // once and syncs a segment when it is sealed.
+  DatasetOptions options = Options();
   options.wal_sync_mode = WalSyncMode::kFlushOnly;
-  auto tree = LsmTree::Open(options).value();
-  for (int64_t k = 0; k < 5; ++k) {
-    ASSERT_TRUE(tree->Put(PrimaryKey(k), "x", true).ok());
+  auto dataset = Dataset::Open(options).value();
+  for (int64_t pk = 0; pk < 5; ++pk) {
+    ASSERT_TRUE(dataset->Insert(Tweet(pk, 1)).ok());
   }
-  EXPECT_EQ(tree->WalSyncCount(), 0u);  // no append-path fsyncs
-  ASSERT_TRUE(tree->Flush().ok());
+  EXPECT_EQ(dataset->WalSyncCount(), 0u);  // no append-path fsyncs
+  ASSERT_TRUE(dataset->Flush().ok());
+  EXPECT_EQ(dataset->WalSyncCount(), 1u);  // the seal's
   EXPECT_TRUE(WalFiles().empty());
 }
 
 // ------------------------------------------------------------- dataset WAL
 
-DatasetOptions SharedWalDatasetOptions(const std::string& dir) {
-  DatasetOptions options;
-  options.directory = dir;
-  options.name = "tweets";
-  options.schema = TweetSchema(ValueDomain(0, 14));
-  options.memtable_max_entries = 100;
-  options.wal = true;
-  return options;
-}
-
 TEST_F(WalTest, SharedWalUsesOneSegmentStreamForAllIndexes) {
-  auto dataset = Dataset::Open(SharedWalDatasetOptions(dir_)).value();
+  auto dataset = Dataset::Open(Options()).value();
   for (int64_t pk = 0; pk < 10; ++pk) {
     Record record;
     record.pk = pk;
@@ -813,7 +768,7 @@ TEST_F(WalTest, SharedWalUsesOneSegmentStreamForAllIndexes) {
 
 TEST_F(WalTest, SharedWalRecoversEveryIndexFromOneLog) {
   {
-    auto dataset = Dataset::Open(SharedWalDatasetOptions(dir_)).value();
+    auto dataset = Dataset::Open(Options()).value();
     for (int64_t pk = 0; pk < 20; ++pk) {
       Record record;
       record.pk = pk;
@@ -824,7 +779,7 @@ TEST_F(WalTest, SharedWalRecoversEveryIndexFromOneLog) {
   }  // crash before any flush
   // Reopen with the WAL off: recovery still replays what the earlier run
   // logged, so turning the log off never drops records.
-  DatasetOptions reopen = SharedWalDatasetOptions(dir_);
+  DatasetOptions reopen = Options();
   reopen.wal = false;
   auto dataset = Dataset::Open(reopen).value();
   ASSERT_TRUE(dataset->Get(3).ok());
@@ -843,7 +798,7 @@ TEST_F(WalTest, SharedWalRecoversEveryIndexFromOneLog) {
 TEST_F(WalTest, SharedWalSurvivesPowerLossUnderEveryRecordSync) {
   FaultInjectionEnv env;
   auto make_options = [&] {
-    DatasetOptions options = SharedWalDatasetOptions(dir_);
+    DatasetOptions options = Options();
     options.env = &env;
     options.wal_sync_mode = WalSyncMode::kEveryRecord;
     return options;
@@ -869,7 +824,7 @@ TEST_F(WalTest, SharedWalSurvivesPowerLossUnderEveryRecordSync) {
 }
 
 TEST_F(WalTest, SharedWalSegmentsAwaitAllTreesFlushing) {
-  auto dataset = Dataset::Open(SharedWalDatasetOptions(dir_)).value();
+  auto dataset = Dataset::Open(Options()).value();
   Record record;
   record.pk = 1;
   record.fields = {2, 0};
@@ -890,7 +845,7 @@ TEST_F(WalTest, SharedWalSegmentsStayBoundedWithoutBarriers) {
   // and the sealed ones must still be reclaimed once every tree's flush has
   // drained, or the log grows without bound.
   BackgroundScheduler scheduler(2);
-  DatasetOptions options = SharedWalDatasetOptions(dir_);
+  DatasetOptions options = Options();
   options.memtable_max_entries = 512;
   options.wal_sync_mode = WalSyncMode::kFlushOnly;
   options.scheduler = &scheduler;
@@ -931,7 +886,7 @@ TEST_F(WalTest, SharedWalSegmentsStayBoundedWithoutBarriers) {
 // --------------------------------------------------- dataset batch mutations
 
 TEST_F(WalTest, PutBatchValidatesBeforeApplyingAnything) {
-  auto dataset = Dataset::Open(SharedWalDatasetOptions(dir_)).value();
+  auto dataset = Dataset::Open(Options()).value();
   Record seeded;
   seeded.pk = 5;
   seeded.fields = {1, 0};
@@ -966,7 +921,7 @@ TEST_F(WalTest, PutBatchValidatesBeforeApplyingAnything) {
 TEST_F(WalTest, AckedPutBatchRecoversAtomicallyAcrossAllIndexes) {
   FaultInjectionEnv env;
   auto make_options = [&] {
-    DatasetOptions options = SharedWalDatasetOptions(dir_);
+    DatasetOptions options = Options();
     options.env = &env;
     options.wal_sync_mode = WalSyncMode::kEveryRecord;
     return options;
@@ -994,7 +949,7 @@ TEST_F(WalTest, AckedPutBatchRecoversAtomicallyAcrossAllIndexes) {
 }
 
 TEST_F(WalTest, DeleteBatchRemovesEveryRecordAtomically) {
-  auto dataset = Dataset::Open(SharedWalDatasetOptions(dir_)).value();
+  auto dataset = Dataset::Open(Options()).value();
   std::vector<Record> records;
   for (int64_t pk = 0; pk < 6; ++pk) {
     Record record;
@@ -1020,7 +975,7 @@ TEST_F(WalTest, DeleteBatchRemovesEveryRecordAtomically) {
 TEST_F(WalTest, DatasetBatchesWorkWithoutSharedWal) {
   // The batch API does not depend on the WAL: with the log off a batch is
   // simply a grouped apply.
-  DatasetOptions options = SharedWalDatasetOptions(dir_);
+  DatasetOptions options = Options();
   options.wal = false;
   auto dataset = Dataset::Open(options).value();
   std::vector<Record> records;

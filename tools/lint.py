@@ -38,6 +38,10 @@ clang-tidy is unavailable:
                  WAL segment naming, framing, and file access are confined
                  to the WAL module so the log format has exactly one
                  reader/writer and recovery rules stay in one place.
+  wal-owner      a `WalLog` is constructed only in src/db/dataset.cc (the
+                 WAL module itself and tests/ are exempt) — the dataset is
+                 the one owner of a write-ahead log, so an index tree, a
+                 bench or an example never grows a second log stream.
   background-error  `background_error_` is assigned only inside the
                  designated LsmTree setters (SetBackgroundErrorLocked /
                  ClearBackgroundErrorLocked) — every other mutation would
@@ -319,6 +323,35 @@ def check_wal_io(path: Path, raw_lines: list[str], code_lines: list[str]) -> Non
                    "(use WalFilePath / RecoverWalSegments)")
 
 
+# ----------------------------------------------------------------- wal-owner
+
+# A construction of a WalLog: make_unique/make_shared, `new`, a named object
+# (`WalLog log(...)` / `WalLog log{...}`) or a temporary (`WalLog(...)`).
+# Scanned over the code view, so comments and strings never match.
+WAL_OWNER_RE = re.compile(
+    r"\bmake_(?:unique|shared)\s*<\s*(?:lsmstats\s*::\s*)?WalLog\s*>"
+    r"|\bnew\s+(?:lsmstats\s*::\s*)?WalLog\b"
+    r"|\bWalLog\s+\w+\s*[({]"
+    r"|(?<![~:\w])WalLog\s*[({]"
+)
+
+WAL_OWNER_FILES = {
+    SRC / "db" / "dataset.cc",
+    SRC / "lsm" / "wal.h",
+    SRC / "lsm" / "wal.cc",
+}
+
+
+def check_wal_owner(path: Path, raw_lines: list[str], code_lines: list[str]) -> None:
+    if path in WAL_OWNER_FILES or (REPO / "tests") in path.parents:
+        return
+    for idx, code in enumerate(code_lines):
+        if WAL_OWNER_RE.search(code) and not allowed(raw_lines[idx], "wal-owner"):
+            report(path, idx + 1, "wal-owner",
+                   "`WalLog` constructed outside src/db/dataset.cc — the "
+                   "dataset is the only owner of a write-ahead log")
+
+
 # ----------------------------------------------------------------- raw-mutex
 
 # Raw standard-library synchronization primitives. Locking in src/ must use
@@ -515,6 +548,7 @@ def main() -> int:
         raw, code = lines_of(path)
         check_include_cc(path, raw, code)
         check_void_drop(path, raw, code)
+        check_wal_owner(path, raw, code)
     for path in src_only:
         raw, code = lines_of(path)
         check_raw_new_delete(path, raw, code)
