@@ -37,13 +37,14 @@ namespace {
 
 const ValueDomain kDomain(0, 20);
 
-std::vector<int64_t> SortedValues(size_t n) {
+std::vector<int64_t> SortedValues(size_t n,
+                                  const ValueDomain& domain = kDomain) {
   DistributionSpec spec;
   spec.spread = SpreadDistribution::kZipfRandom;
   spec.frequency = FrequencyDistribution::kZipf;
   spec.num_values = n / 20 + 1;
   spec.total_records = n;
-  spec.domain = kDomain;
+  spec.domain = domain;
   auto dist = SyntheticDistribution::Generate(spec);
   std::vector<int64_t> values = dist.ExpandShuffled(3);
   std::sort(values.begin(), values.end());
@@ -139,27 +140,36 @@ BENCHMARK_CAPTURE(BM_LsmPutWithStats, Wavelet, SynopsisType::kWavelet);
 
 // -------------------------------------------------------------- estimate
 
-void BM_Estimate(benchmark::State& state, SynopsisType type,
-                 bool enable_cache) {
+// `components` synopses of `type` over `domain`; with `anti_matter` each
+// component also carries an anti-matter twin summarizing every 8th of its
+// values, as a component holding deletes does.
+void BM_Estimate(benchmark::State& state, SynopsisType type, bool enable_cache,
+                 const ValueDomain& domain = kDomain, size_t components = 16,
+                 bool anti_matter = false) {
   const size_t n = 100000;
-  std::vector<int64_t> values = SortedValues(n);
+  std::vector<int64_t> values = SortedValues(n, domain);
   StatisticsCatalog catalog;
   StatisticsKey key{"micro", "f", 0};
-  // 16 component synopses.
-  const size_t kComponents = 16;
-  size_t chunk = values.size() / kComponents;
-  for (size_t c = 0; c < kComponents; ++c) {
-    SynopsisConfig config{type, 256, kDomain};
-    auto builder = CreateSynopsisBuilder(config, chunk);
+  size_t chunk = values.size() / components;
+  auto build = [&](const std::vector<int64_t>& sorted) {
+    SynopsisConfig config{type, 256, domain};
+    auto builder = CreateSynopsisBuilder(config, sorted.size());
+    for (int64_t v : sorted) builder->Add(v);
+    return std::shared_ptr<const Synopsis>(builder->Finish().release());
+  };
+  for (size_t c = 0; c < components; ++c) {
     std::vector<int64_t> slice(values.begin() + c * chunk,
                                values.begin() + (c + 1) * chunk);
     std::sort(slice.begin(), slice.end());
-    for (int64_t v : slice) builder->Add(v);
     SynopsisEntry entry;
     entry.component_id = c + 1;
     entry.timestamp = c + 1;
-    entry.synopsis =
-        std::shared_ptr<const Synopsis>(builder->Finish().release());
+    entry.synopsis = build(slice);
+    if (anti_matter) {
+      std::vector<int64_t> deleted;
+      for (size_t i = 0; i < slice.size(); i += 8) deleted.push_back(slice[i]);
+      entry.anti_synopsis = build(deleted);
+    }
     catalog.Register(key, std::move(entry), {});
   }
   CardinalityEstimator::Options options;
@@ -167,8 +177,9 @@ void BM_Estimate(benchmark::State& state, SynopsisType type,
   CardinalityEstimator estimator(&catalog, options);
   estimator.EstimateRangePartition(key, 0, 1);  // warm the cache
   Random rng(9);
+  const uint64_t span = domain.MaxPosition() + 1 - 128;
   for (auto _ : state) {
-    int64_t lo = static_cast<int64_t>(rng.Uniform((1 << 20) - 128));
+    int64_t lo = domain.ValueAt(rng.Uniform(span));
     benchmark::DoNotOptimize(
         estimator.EstimateRangePartition(key, lo, lo + 127));
   }
@@ -183,6 +194,11 @@ BENCHMARK_CAPTURE(BM_Estimate, EquiHeight_separate,
 BENCHMARK_CAPTURE(BM_Estimate, Wavelet_separate, SynopsisType::kWavelet,
                   false);
 BENCHMARK_CAPTURE(BM_Estimate, Wavelet_cached, SynopsisType::kWavelet, true);
+// perfbench's shape: a 2^16 domain, three components with anti-matter.
+BENCHMARK_CAPTURE(BM_Estimate, Wavelet_d16_anti_separate,
+                  SynopsisType::kWavelet, false, ValueDomain(0, 16), 3, true);
+BENCHMARK_CAPTURE(BM_Estimate, Wavelet_d16_anti_cached, SynopsisType::kWavelet,
+                  true, ValueDomain(0, 16), 3, true);
 
 // ----------------------------------------------------------- block layer
 

@@ -190,6 +190,7 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
     // The recovered segments back the records just replayed into the
     // memtables; they stay on disk until those records rotate and flush.
     dataset->wal_recovered_ = std::move(recovery->live_segments);
+    dataset->wal_quarantined_ = std::move(recovery->quarantined_files);
 
     if (opts.wal) {
       WalLogOptions log_options;
@@ -775,6 +776,7 @@ DatasetHealth Dataset::Health() const {
   add(*primary_);
   for (const auto& secondary : secondaries_) add(*secondary);
   for (const auto& composite : composite_trees_) add(*composite);
+  health.wal_quarantined_files = wal_quarantined_;
   return health;
 }
 

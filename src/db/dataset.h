@@ -122,6 +122,10 @@ struct DatasetHealth {
   // Per-tree snapshots, primary first, then secondaries and composites in
   // schema order; .first is the tree name (e.g. "<dataset>_sk_<field>").
   std::vector<std::pair<std::string, HealthSnapshot>> trees;
+  // WAL segments Open renamed to `<file>.quarantine` because of mid-log
+  // corruption: their acknowledged records, and those of every newer
+  // segment, were not replayed.
+  std::vector<std::string> wal_quarantined_files;
 };
 
 class Dataset {
@@ -327,6 +331,8 @@ class Dataset {
   // Recovery runs with the WAL off too, so turning the log off never drops
   // records an earlier run logged.
   std::vector<std::string> wal_recovered_;
+  // Segments the Open-time recovery quarantined, reported by Health().
+  std::vector<std::string> wal_quarantined_;
   // Sealed segments whose records some tree may still hold in its mutable
   // memtable. The next rotation every tree completes (MaybeFlush or Flush)
   // moves them into a wal_rotated_ group; they are never deleted from here.

@@ -84,8 +84,11 @@ void InstallAnalyzeResult(StatisticsCatalog* catalog,
   // Drop every existing entry for the key, then install the single
   // dataset-wide synopsis.
   std::vector<uint64_t> existing;
-  for (const SynopsisEntry& entry : catalog->GetSynopses(key)) {
-    existing.push_back(entry.component_id);
+  const StatisticsCatalog::StreamSnapshot snapshot = catalog->Snapshot(key);
+  if (snapshot.entries != nullptr) {
+    for (const SynopsisEntry& entry : *snapshot.entries) {
+      existing.push_back(entry.component_id);
+    }
   }
   SynopsisEntry entry;
   entry.component_id = std::numeric_limits<uint64_t>::max();  // synthetic

@@ -56,13 +56,16 @@ void CardinalityEstimator::EvictToBudgetLocked() {
 double CardinalityEstimator::EstimateRangePartition(const StatisticsKey& key,
                                                     int64_t lo, int64_t hi,
                                                     QueryStats* stats) {
-  std::vector<SynopsisEntry> entries = catalog_->GetSynopses(key);
-  if (entries.empty()) return 0.0;
+  // One lock for the entries and their version: the merged pair built from
+  // these entries is cached under exactly this version.
+  const StatisticsCatalog::StreamSnapshot snapshot = catalog_->Snapshot(key);
+  if (snapshot.entries == nullptr || snapshot.entries->empty()) return 0.0;
+  const std::vector<SynopsisEntry>& entries = *snapshot.entries;
+  const uint64_t version = snapshot.version;
 
   const Synopsis* first = entries.front().synopsis.get();
   const bool mergeable = options_.enable_merged_cache && first != nullptr &&
                          SynopsisTypeIsMergeable(first->type());
-  const uint64_t version = catalog_->Version(key);
 
   if (mergeable) {
     // Copy the shared snapshot out under the lock, probe it outside: a
@@ -161,7 +164,9 @@ double CardinalityEstimator::EstimateRange2DPartition(
     return static_cast<const GridHistogram&>(synopsis).EstimateRange2D(
         lo0, hi0, lo1, hi1);
   };
-  for (const SynopsisEntry& entry : catalog_->GetSynopses(key)) {
+  const StatisticsCatalog::StreamSnapshot snapshot = catalog_->Snapshot(key);
+  if (snapshot.entries == nullptr) return 0.0;
+  for (const SynopsisEntry& entry : *snapshot.entries) {
     if (entry.synopsis) total += estimate_2d(*entry.synopsis);
     if (entry.anti_synopsis && entry.anti_synopsis->TotalRecords() > 0) {
       double anti = estimate_2d(*entry.anti_synopsis);

@@ -40,23 +40,27 @@ StatisticsCatalog& StatisticsCatalog::operator=(StatisticsCatalog&& other) {
   return *this;
 }
 
+void StatisticsCatalog::Republish(Stream* stream,
+                                  const std::vector<uint64_t>& removed_ids,
+                                  SynopsisEntry* added) {
+  auto next = std::make_shared<std::vector<SynopsisEntry>>();
+  next->reserve(stream->entries->size() + 1);
+  for (const SynopsisEntry& e : *stream->entries) {
+    if (std::find(removed_ids.begin(), removed_ids.end(), e.component_id) ==
+        removed_ids.end()) {
+      next->push_back(e);
+    }
+  }
+  if (added != nullptr) next->push_back(std::move(*added));
+  stream->entries = std::move(next);
+  ++stream->version;
+}
+
 void StatisticsCatalog::Register(
     const StatisticsKey& key, SynopsisEntry entry,
     const std::vector<uint64_t>& replaced_component_ids) {
   MutexLock lock(&mu_);
-  Stream& stream = streams_[key];
-  if (!replaced_component_ids.empty()) {
-    auto replaced = [&](const SynopsisEntry& e) {
-      return std::find(replaced_component_ids.begin(),
-                       replaced_component_ids.end(),
-                       e.component_id) != replaced_component_ids.end();
-    };
-    stream.entries.erase(
-        std::remove_if(stream.entries.begin(), stream.entries.end(), replaced),
-        stream.entries.end());
-  }
-  stream.entries.push_back(std::move(entry));
-  ++stream.version;
+  Republish(&streams_[key], replaced_component_ids, &entry);
 }
 
 void StatisticsCatalog::Drop(const StatisticsKey& key,
@@ -64,22 +68,22 @@ void StatisticsCatalog::Drop(const StatisticsKey& key,
   MutexLock lock(&mu_);
   auto it = streams_.find(key);
   if (it == streams_.end()) return;
-  auto dropped = [&](const SynopsisEntry& e) {
-    return std::find(component_ids.begin(), component_ids.end(),
-                     e.component_id) != component_ids.end();
-  };
-  it->second.entries.erase(std::remove_if(it->second.entries.begin(),
-                                          it->second.entries.end(), dropped),
-                           it->second.entries.end());
-  ++it->second.version;
+  Republish(&it->second, component_ids, nullptr);
 }
 
-std::vector<SynopsisEntry> StatisticsCatalog::GetSynopses(
+StatisticsCatalog::StreamSnapshot StatisticsCatalog::Snapshot(
     const StatisticsKey& key) const {
   MutexLock lock(&mu_);
   auto it = streams_.find(key);
   if (it == streams_.end()) return {};
-  return it->second.entries;
+  return {it->second.version, it->second.entries};
+}
+
+std::vector<SynopsisEntry> StatisticsCatalog::GetSynopses(
+    const StatisticsKey& key) const {
+  StreamSnapshot snapshot = Snapshot(key);
+  if (snapshot.entries == nullptr) return {};
+  return *snapshot.entries;
 }
 
 std::vector<SynopsisEntry> StatisticsCatalog::GetSynopsesAllPartitions(
@@ -88,8 +92,8 @@ std::vector<SynopsisEntry> StatisticsCatalog::GetSynopsesAllPartitions(
   std::vector<SynopsisEntry> result;
   for (const auto& [key, stream] : streams_) {
     if (key.dataset == dataset && key.field == field) {
-      result.insert(result.end(), stream.entries.begin(),
-                    stream.entries.end());
+      result.insert(result.end(), stream.entries->begin(),
+                    stream.entries->end());
     }
   }
   return result;
@@ -117,7 +121,7 @@ uint64_t StatisticsCatalog::TotalStorageBytes() const {
   MutexLock lock(&mu_);
   uint64_t total = 0;
   for (const auto& [key, stream] : streams_) {
-    for (const SynopsisEntry& entry : stream.entries) {
+    for (const SynopsisEntry& entry : *stream.entries) {
       for (const auto& synopsis : {entry.synopsis, entry.anti_synopsis}) {
         if (!synopsis) continue;
         Encoder enc;
@@ -132,7 +136,7 @@ uint64_t StatisticsCatalog::TotalStorageBytes() const {
 size_t StatisticsCatalog::EntryCount(const StatisticsKey& key) const {
   MutexLock lock(&mu_);
   auto it = streams_.find(key);
-  return it == streams_.end() ? 0 : it->second.entries.size();
+  return it == streams_.end() ? 0 : it->second.entries->size();
 }
 
 void StatisticsCatalog::EncodeTo(Encoder* enc) const {
@@ -143,8 +147,8 @@ void StatisticsCatalog::EncodeTo(Encoder* enc) const {
     enc->PutString(key.field);
     enc->PutU32(key.partition);
     enc->PutVarint64(stream.version);
-    enc->PutVarint64(stream.entries.size());
-    for (const SynopsisEntry& entry : stream.entries) {
+    enc->PutVarint64(stream.entries->size());
+    for (const SynopsisEntry& entry : *stream.entries) {
       enc->PutVarint64(entry.component_id);
       enc->PutVarint64(entry.timestamp);
       for (const auto& synopsis : {entry.synopsis, entry.anti_synopsis}) {
@@ -182,8 +186,8 @@ StatusOr<StatisticsCatalog> StatisticsCatalog::DecodeFrom(Decoder* dec) {
       if (entry_count > dec->remaining()) {
         return Status::Corruption("catalog entry count exceeds buffer");
       }
-      stream.entries.resize(entry_count);
-      for (SynopsisEntry& entry : stream.entries) {
+      auto entries = std::make_shared<std::vector<SynopsisEntry>>(entry_count);
+      for (SynopsisEntry& entry : *entries) {
         LSMSTATS_RETURN_IF_ERROR(dec->GetVarint64(&entry.component_id));
         LSMSTATS_RETURN_IF_ERROR(dec->GetVarint64(&entry.timestamp));
         for (auto* slot : {&entry.synopsis, &entry.anti_synopsis}) {
@@ -197,6 +201,7 @@ StatusOr<StatisticsCatalog> StatisticsCatalog::DecodeFrom(Decoder* dec) {
               std::move(synopsis).value().release());
         }
       }
+      stream.entries = std::move(entries);
     }
   }
   return catalog;

@@ -11,9 +11,11 @@
 //
 // The catalog is internally synchronized: statistics delivery runs on the
 // background scheduler's workers while queries estimate from the same
-// streams, so every accessor takes the catalog mutex and the read methods
-// return copies (entries hold shared_ptr<const Synopsis>, so copies are
-// cheap and the synopses themselves are immutable).
+// streams. Each stream publishes its entries as one immutable vector:
+// Register, Drop and DecodeFrom build a new vector and swap it in under the
+// catalog mutex (copy-on-write), so a reader takes a Snapshot — the version
+// and a shared reference to the entries, under one lock — and probes it
+// without copying or locking again. A held snapshot never changes.
 
 #ifndef LSMSTATS_STATS_STATISTICS_CATALOG_H_
 #define LSMSTATS_STATS_STATISTICS_CATALOG_H_
@@ -54,6 +56,13 @@ struct StatisticsKey {
 
 class StatisticsCatalog {
  public:
+  // One stream's entries, oldest first, and the version they were published
+  // at. `entries` is null when the key has never been registered.
+  struct StreamSnapshot {
+    uint64_t version = 0;
+    std::shared_ptr<const std::vector<SynopsisEntry>> entries;
+  };
+
   StatisticsCatalog() = default;
 
   // Movable (DecodeFrom returns by value); moves lock the source so a
@@ -73,7 +82,12 @@ class StatisticsCatalog {
   void Drop(const StatisticsKey& key,
             const std::vector<uint64_t>& component_ids);
 
-  // All entries for one attribute, oldest first.
+  // The published entries of one attribute and their version, read under
+  // one lock: the estimator's staleness check compares exactly the version
+  // of the entries it folds.
+  StreamSnapshot Snapshot(const StatisticsKey& key) const;
+
+  // A copy of the snapshot's entries, oldest first.
   std::vector<SynopsisEntry> GetSynopses(const StatisticsKey& key) const;
 
   // Entries for one (dataset, field) across all partitions, oldest first.
@@ -112,9 +126,17 @@ class StatisticsCatalog {
 
  private:
   struct Stream {
-    std::vector<SynopsisEntry> entries;
+    // Never null, never mutated once published.
+    std::shared_ptr<const std::vector<SynopsisEntry>> entries =
+        std::make_shared<const std::vector<SynopsisEntry>>();
     uint64_t version = 0;
   };
+
+  // Publishes `stream`'s entries minus those of `removed_ids`, plus `added`
+  // when given, as a new immutable vector, and bumps the version.
+  static void Republish(Stream* stream,
+                        const std::vector<uint64_t>& removed_ids,
+                        SynopsisEntry* added);
 
   // Guards streams_. EncodeTo locks it, so Save/DecodeFrom callers must not
   // hold it (they don't: SaveToFile only touches the encoder and the file).

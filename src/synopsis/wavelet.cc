@@ -55,23 +55,86 @@ WaveletSynopsis::WaveletSynopsis(const ValueDomain& domain, size_t budget,
     if (c.value != 0.0) coefficients_.emplace(c.index, c.value);
   }
   Threshold(budget_);
+  BuildSteps();
 }
 
 double WaveletSynopsis::ReconstructPoint(uint64_t position) const {
+  auto next = std::upper_bound(step_starts_.begin(), step_starts_.end(),
+                               position);
+  return step_values_[static_cast<size_t>(next - step_starts_.begin()) - 1];
+}
+
+void WaveletSynopsis::BuildSteps() {
+  step_starts_.clear();
+  step_values_.clear();
   const int log_domain = domain_.log_length();
-  auto root = coefficients_.find(0);
-  double value = root == coefficients_.end() ? 0.0 : root->second;
-  uint64_t node = 1;
-  for (int d = log_domain - 1; d >= 0; --d) {
-    auto it = coefficients_.find(node);
-    uint64_t bit = (position >> d) & 1;
-    if (it != coefficients_.end()) {
-      // Detail adds +c over the right half of its support, -c over the left.
-      value += bit ? it->second : -it->second;
+  // A kept detail coefficient whose support contains the walk position.
+  // `left`/`right` are W over its two halves as summed so far: the value
+  // its nearest kept ancestor gives the support, plus -c or +c.
+  struct Open {
+    uint64_t mid;   // first position of the right half
+    uint64_t last;  // last position of the support
+    double left;
+    double right;
+  };
+  std::vector<Open> open;  // outermost first; supports nest
+  double root = 0.0;
+  uint64_t pos = 0;  // first position no step covers yet
+  auto emit = [this](uint64_t start, double value) {
+    // Bitwise, not ==: 0.0 and -0.0 are different results.
+    if (!step_values_.empty() &&
+        std::bit_cast<uint64_t>(value) ==
+            std::bit_cast<uint64_t>(step_values_.back())) {
+      return;
     }
-    if (d > 0) node = (node << 1) | bit;
+    step_starts_.push_back(start);
+    step_values_.push_back(value);
+  };
+  // Emits the steps for positions [pos, through].
+  auto cover = [&](uint64_t through) {
+    for (;;) {
+      while (!open.empty() && open.back().last < pos) open.pop_back();
+      double value = root;
+      uint64_t step_last = through;
+      if (!open.empty()) {
+        const Open& o = open.back();
+        value = pos < o.mid ? o.left : o.right;
+        step_last = std::min(through, pos < o.mid ? o.mid - 1 : o.last);
+      }
+      emit(pos, value);
+      if (step_last == through) break;
+      pos = step_last + 1;
+    }
+    pos = through + 1;  // wraps only after the domain's last position
+  };
+  // Pre-order visits supports by start position, ancestors first, so every
+  // coefficient covering a position is open before the position is emitted.
+  for (const WaveletCoefficient& c : CoefficientsInPreOrder()) {
+    if (c.index == 0) {
+      root = c.value;
+      continue;
+    }
+    const int depth = DepthOf(c.index);
+    if (depth >= log_domain) continue;  // below the leaves; never reached
+    const int half_log = log_domain - depth - 1;
+    // depth == 0 is the root detail, whose support starts at 0 (guarding the
+    // undefined shift by 64).
+    const uint64_t start =
+        depth == 0 ? 0 : (c.index - (1ULL << depth)) << (half_log + 1);
+    const uint64_t mid = start + (1ULL << half_log);
+    if (start > pos) cover(start - 1);
+    while (!open.empty() && open.back().last < start) open.pop_back();
+    double base = root;
+    if (!open.empty()) {
+      base = start < open.back().mid ? open.back().left : open.back().right;
+    }
+    // The same additions, in the same order, as a root-to-leaf walk that
+    // adds +c over the right half of each support and -c over the left.
+    open.push_back({mid, mid + ((1ULL << half_log) - 1), base + -c.value,
+                    base + c.value});
   }
-  return value;
+  cover(domain_.MaxPosition());
+  LSMSTATS_DCHECK_LE(step_starts_.size(), 3 * coefficients_.size() + 1);
 }
 
 double WaveletSynopsis::RangeSum(uint64_t lo, uint64_t hi) const {
@@ -117,7 +180,7 @@ double WaveletSynopsis::EstimateRange(int64_t lo, int64_t hi) const {
     return RangeSum(lo_pos, hi_pos);
   }
   // Prefix-sum encoding: cardinality([lo, hi]) = P[hi] - P[lo - 1], two
-  // root-to-leaf reconstructions (§3.6).
+  // point reconstructions (§3.6).
   double upper = ReconstructPoint(hi_pos);
   double lower = lo_pos == 0 ? 0.0 : ReconstructPoint(lo_pos - 1);
   return upper - lower;
@@ -138,6 +201,7 @@ Status WaveletSynopsis::MergeFrom(const WaveletSynopsis& other) {
   }
   total_records_ += other.total_records_;
   Threshold(budget_);
+  BuildSteps();
   return Status::OK();
 }
 

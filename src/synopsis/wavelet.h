@@ -6,7 +6,7 @@
 //
 //  * kPrefixSum (the paper's choice): the encoded signal at position p is the
 //    running prefix sum of record frequencies, P[p] = sum_{q<=p} f(q). A
-//    range cardinality [lo, hi] is then W(hi) - W(lo-1), two O(log D)
+//    range cardinality [lo, hi] is then W(hi) - W(lo-1), the paper's two
 //    root-to-leaf reconstructions (§3.6). The prefix sum is dense, which is
 //    why it approximates range queries far better than raw frequencies.
 //  * kRawFrequency: the classical encoding of the raw frequency vector, kept
@@ -18,6 +18,14 @@
 // 2^(logD - depth) starting at (i - 2^depth) << (logD - depth). A detail
 // coefficient c adds +c to the right half of its support and -c to the left
 // half (the paper's Appendix B sign convention: detail = (right - left)/2).
+//
+// The thresholded reconstruction W(p) is piecewise constant: it can change
+// only at the start, middle and end of a kept detail coefficient's support,
+// so B coefficients give at most 3B+1 steps. Whenever the coefficients become
+// final (construction, MergeFrom) the synopsis compiles W into a sorted step
+// table, and a point reconstruction is one O(log B) binary search. Each
+// step's value is summed root to leaf in the same order as a per-level
+// error-tree walk, so it is bit-for-bit that walk's result.
 //
 // Wavelets are mergeable (§3.5): the transform is linear, so coefficient-wise
 // addition followed by re-thresholding combines two synopses.
@@ -78,9 +86,13 @@ class WaveletSynopsis : public Synopsis {
 
   WaveletEncoding encoding() const { return encoding_; }
 
-  // Reconstructs the encoded signal's value at a domain position: one
-  // root-to-leaf traversal of the error tree (§3.6).
+  // Reconstructs the encoded signal's value at a domain position (§3.6): a
+  // binary search of the step table.
   double ReconstructPoint(uint64_t position) const;
+
+  // Number of constant steps of the reconstruction; at most
+  // 3 * ElementCount() + 1.
+  size_t StepCount() const { return step_starts_.size(); }
 
   // Adds `other`'s coefficients into this synopsis and re-thresholds to the
   // budget. Requires identical domain and encoding.
@@ -96,11 +108,19 @@ class WaveletSynopsis : public Synopsis {
 
   void Threshold(size_t budget);
 
+  // Compiles the current coefficients into the step table.
+  void BuildSteps();
+
   ValueDomain domain_;
   size_t budget_;
   WaveletEncoding encoding_;
   std::unordered_map<uint64_t, double> coefficients_;
   uint64_t total_records_;
+  // W(p) == step_values_[i] for step_starts_[i] <= p < step_starts_[i + 1]
+  // (the last step runs to the end of the domain). step_starts_[0] == 0, and
+  // neighbouring values differ bitwise.
+  std::vector<uint64_t> step_starts_;
+  std::vector<double> step_values_;
 };
 
 }  // namespace lsmstats

@@ -535,9 +535,10 @@ TEST(DatasetConcurrency, ParallelIndexMaintenanceMatchesOracle) {
 
 // Queries estimate from the catalog while a feed ingests: flushes running on
 // the worker pool publish synopses (bumping catalog versions) while a reader
-// thread hammers EstimateRange and periodically drops the merged-synopsis
-// cache. Exercises the estimator's cache mutex and the catalog's internal
-// synchronization; the tsan preset is the real assertion here.
+// thread hammers EstimateRange, periodically drops the merged-synopsis
+// cache, and holds catalog snapshots across later publications. Exercises
+// the estimator's cache mutex and the catalog's copy-on-write publication;
+// the tsan preset is the real assertion here.
 TEST(DatasetConcurrency, EstimatorServesQueriesDuringIngestion) {
   TempDir dir;
   BackgroundScheduler scheduler(4);
@@ -562,17 +563,37 @@ TEST(DatasetConcurrency, EstimatorServesQueriesDuringIngestion) {
   auto dataset = std::move(dataset_or).value();
 
   CardinalityEstimator estimator(&catalog, CardinalityEstimator::Options{});
+  const StatisticsKey key = dataset->StatsKey(kTweetMetricField);
   std::atomic<bool> done{false};
   std::atomic<uint64_t> queries{0};
   std::thread querier([&] {
     uint64_t iterations = 0;
+    StatisticsCatalog::StreamSnapshot held;
+    uint64_t held_records = 0;
+    auto records = [](const StatisticsCatalog::StreamSnapshot& snapshot) {
+      uint64_t total = 0;
+      if (snapshot.entries == nullptr) return total;
+      for (const SynopsisEntry& entry : *snapshot.entries) {
+        total += entry.synopsis->TotalRecords();
+      }
+      return total;
+    };
     while (!done.load(std::memory_order_acquire)) {
       CardinalityEstimator::QueryStats stats;
       double estimate =
           estimator.EstimateRange("tweets", kTweetMetricField, 0, 16383,
                                   &stats);
       EXPECT_GE(estimate, 0.0);
-      if (++iterations % 64 == 0) estimator.InvalidateCache();
+      // A snapshot held while flushes publish newer ones keeps its entries;
+      // the version only moves forward.
+      StatisticsCatalog::StreamSnapshot latest = catalog.Snapshot(key);
+      EXPECT_GE(latest.version, held.version);
+      EXPECT_EQ(records(held), held_records);
+      if (++iterations % 64 == 0) {
+        estimator.InvalidateCache();
+        held = std::move(latest);
+        held_records = records(held);
+      }
     }
     queries.store(iterations, std::memory_order_release);
   });

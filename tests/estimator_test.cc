@@ -1,7 +1,14 @@
 // Tests for the cardinality estimator (paper Algorithm 2) and the statistics
 // catalog.
 
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +60,40 @@ TEST(Catalog, RegisterReplaceDrop) {
   catalog.Drop(key, {3});
   EXPECT_EQ(catalog.EntryCount(key), 0u);
   EXPECT_EQ(catalog.TotalStorageBytes(), 0u);
+}
+
+TEST(Catalog, HeldSnapshotUnchangedByRegisterAndDrop) {
+  StatisticsCatalog catalog;
+  StatisticsKey key{"ds", "f", 0};
+  EXPECT_EQ(catalog.Snapshot(key).entries, nullptr);
+  catalog.Register(key, MakeEntry(1, MakeSynopsis(
+                            SynopsisType::kEquiWidthHistogram, {1, 2})), {});
+  catalog.Register(key, MakeEntry(2, MakeSynopsis(
+                            SynopsisType::kEquiWidthHistogram, {3})), {});
+  const StatisticsCatalog::StreamSnapshot held = catalog.Snapshot(key);
+  ASSERT_NE(held.entries, nullptr);
+  EXPECT_EQ(held.version, catalog.Version(key));
+  const SynopsisEntry* first = held.entries->data();
+
+  catalog.Register(key, MakeEntry(3, MakeSynopsis(
+                            SynopsisType::kEquiWidthHistogram, {1, 2, 3})),
+                   {1, 2});
+  catalog.Drop(key, {3});
+  catalog.Register(key, MakeEntry(4, MakeSynopsis(
+                            SynopsisType::kEquiWidthHistogram, {9})), {});
+
+  // The held entries are the same objects, in the same state.
+  ASSERT_EQ(held.entries->size(), 2u);
+  EXPECT_EQ(held.entries->data(), first);
+  EXPECT_EQ((*held.entries)[0].component_id, 1u);
+  EXPECT_EQ((*held.entries)[1].component_id, 2u);
+  EXPECT_EQ((*held.entries)[0].synopsis->TotalRecords(), 2u);
+
+  const StatisticsCatalog::StreamSnapshot now = catalog.Snapshot(key);
+  EXPECT_EQ(now.version, held.version + 3);
+  ASSERT_EQ(now.entries->size(), 1u);
+  EXPECT_EQ(now.entries->front().component_id, 4u);
+  EXPECT_EQ(catalog.GetSynopses(key).front().component_id, 4u);
 }
 
 TEST(Catalog, StorageBytesReflectEntries) {
@@ -256,6 +297,63 @@ TEST(Estimator, WaveletCachePreservesTotals) {
   // Budgets are ample, so the merge is lossless here.
   EXPECT_NEAR(uncached, cached, 1e-6);
   EXPECT_NEAR(cached, 400.0, 1e-6);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Estimator, SavedAndLoadedCatalogEstimatesBitIdentically) {
+  // Wavelets with anti-matter twins (the mergeable, cached path), an
+  // equi-height stream (the per-component path) and an equi-width one.
+  StatisticsCatalog catalog;
+  const std::vector<std::pair<StatisticsKey, SynopsisType>> streams = {
+      {{"ds", "w", 0}, SynopsisType::kWavelet},
+      {{"ds", "h", 0}, SynopsisType::kEquiHeightHistogram},
+      {{"ds", "e", 1}, SynopsisType::kEquiWidthHistogram}};
+  for (const auto& [key, type] : streams) {
+    for (uint64_t c = 1; c <= 3; ++c) {
+      std::vector<int64_t> values;
+      std::vector<int64_t> deleted;
+      for (int64_t v = 0; v < 300; ++v) {
+        const int64_t value = (v * 37 + static_cast<int64_t>(c) * 101) % 1024;
+        values.push_back(value);
+        if (v % 7 == 0) deleted.push_back(value);
+      }
+      std::sort(values.begin(), values.end());
+      std::sort(deleted.begin(), deleted.end());
+      catalog.Register(key,
+                       MakeEntry(c, MakeSynopsis(type, values, 64),
+                                 MakeSynopsis(type, deleted, 64)),
+                       {});
+    }
+  }
+  char tmpl[] = "/tmp/lsmstats_catalog_XXXXXX";
+  const std::string dir = ::mkdtemp(tmpl);
+  const std::string path = dir + "/catalog";
+  ASSERT_TRUE(catalog.SaveToFile(path).ok());
+  StatisticsCatalog loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+  std::filesystem::remove_all(dir);
+
+  for (bool cache : {true, false}) {
+    CardinalityEstimator::Options options;
+    options.enable_merged_cache = cache;
+    CardinalityEstimator original(&catalog, options);
+    CardinalityEstimator reloaded(&loaded, options);
+    for (const auto& [key, type] : streams) {
+      EXPECT_EQ(loaded.Version(key), catalog.Version(key));
+      for (int64_t lo = 0; lo < 1024; lo += 61) {
+        for (int64_t hi = lo; hi < 1024; hi += 97) {
+          const double a = original.EstimateRangePartition(key, lo, hi);
+          const double b = reloaded.EstimateRangePartition(key, lo, hi);
+          ASSERT_TRUE(SameBits(a, b))
+              << key.field << " [" << lo << ", " << hi << "] cache=" << cache
+              << ": " << a << " vs " << b;
+        }
+      }
+    }
+  }
 }
 
 TEST(Estimator, MultiplePartitionsSum) {

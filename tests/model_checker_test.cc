@@ -22,6 +22,10 @@
 //     since only a shared log ties the trees' recovery points together).
 //   * After a transient outage clears (and Resume() where needed), Health()
 //     is healthy again.
+//   * A long-lived estimator, whose merged-synopsis cache lives across the
+//     flushes, merges and reopens (a crash takes it down with the catalog),
+//     answers a few fixed ranges bit-for-bit as a fresh one does: a stale
+//     cached pair would disagree.
 //   * After ForceFullMerge the anti-matter synopses hold nothing, the
 //     regular synopses count exactly the live records, and the full-domain
 //     estimate equals CountAll() (paper §3.3: the synopsis is an exact
@@ -37,6 +41,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -323,8 +328,11 @@ class ModelCheckerTest : public ::testing::TestWithParam<Config> {
   // statistics over, as a crash does (the catalog here is not persisted).
   void Open(bool fresh_catalog) {
     if (fresh_catalog || catalog_ == nullptr) {
+      estimator_.reset();
       catalog_ = std::make_unique<StatisticsCatalog>();
       sink_ = std::make_unique<LocalCatalogSink>(catalog_.get());
+      estimator_ = std::make_unique<CardinalityEstimator>(
+          catalog_.get(), CardinalityEstimator::Options{});
     }
     auto opened = Dataset::Open(Options());
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -522,6 +530,45 @@ class ModelCheckerTest : public ::testing::TestWithParam<Config> {
       EXPECT_EQ(KeysDiff(got.index_keys[i], expected.index_keys[i]), "")
           << kIndexes[i];
     }
+    ASSERT_NO_FATAL_FAILURE(CheckEstimatorCoherence());
+  }
+
+  // The long-lived estimator against a fresh one over the same catalog. Each
+  // first answers a warm-up query (filling or revalidating its merged cache),
+  // then the fixed ranges, which both serve from their merged pairs when
+  // the stream is mergeable. Background flushes and merges may publish in
+  // between; the comparison counts only when the stream's version held
+  // still throughout, and after a few tries the check waits them out.
+  void CheckEstimatorCoherence() {
+    constexpr std::pair<int64_t, int64_t> kRanges[] = {
+        {0, kValues - 1}, {0, 0}, {5, 20}, {kValues / 2, kValues - 1}};
+    for (const char* field : kFields) {
+      const StatisticsKey key = dataset_->StatsKey(field);
+      for (int attempt = 0;; ++attempt) {
+        if (attempt == 3) {
+          Status drained = dataset_->WaitForBackgroundWork();
+          (void)drained;  // a transient episode may have left an error
+        }
+        const uint64_t version = catalog_->Version(key);
+        CardinalityEstimator fresh(catalog_.get(), {});
+        estimator_->EstimateRangePartition(key, 1, 1);
+        fresh.EstimateRangePartition(key, 1, 1);
+        std::vector<double> cached;
+        std::vector<double> expected;
+        for (const auto& [lo, hi] : kRanges) {
+          cached.push_back(estimator_->EstimateRangePartition(key, lo, hi));
+          expected.push_back(fresh.EstimateRangePartition(key, lo, hi));
+        }
+        if (catalog_->Version(key) != version && attempt < 3) continue;
+        for (size_t r = 0; r < cached.size(); ++r) {
+          EXPECT_EQ(std::memcmp(&cached[r], &expected[r], sizeof(double)), 0)
+              << field << " [" << kRanges[r].first << ", "
+              << kRanges[r].second << "]: long-lived estimator says "
+              << cached[r] << ", a fresh one " << expected[r];
+        }
+        break;
+      }
+    }
   }
 
   // -------------------------------------------------------- statistics
@@ -718,6 +765,8 @@ class ModelCheckerTest : public ::testing::TestWithParam<Config> {
   std::unique_ptr<BackgroundScheduler> scheduler_;
   std::unique_ptr<StatisticsCatalog> catalog_;
   std::unique_ptr<LocalCatalogSink> sink_;
+  // Lives as long as catalog_, as a query engine's estimator would.
+  std::unique_ptr<CardinalityEstimator> estimator_;
   std::unique_ptr<Dataset> dataset_;
   Random rng_{SeedOf(GetParam())};
 

@@ -392,6 +392,8 @@ TEST_F(WalTest, CorruptSegmentQuarantinedOnReopen) {
   auto& dataset = *dataset_or;
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantine"));
   EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(dataset->Health().wal_quarantined_files,
+            std::vector<std::string>{path + ".quarantine"});
   // Records ahead of the damage were replayed; the rest are lost with the
   // quarantined segment, never silently half-applied.
   ExpectTweet(*dataset, 0, 1);
@@ -412,6 +414,7 @@ TEST_F(WalTest, EmptySegmentDeletedAtRecovery) {
   }
   auto dataset = Dataset::Open(Options()).value();
   EXPECT_TRUE(WalFiles().empty());
+  EXPECT_TRUE(dataset->Health().wal_quarantined_files.empty());
   // Sequence numbers still advance past the deleted segment.
   ASSERT_TRUE(dataset->Insert(Tweet(1, 1)).ok());
   auto files = WalFiles();

@@ -2,9 +2,12 @@
 // (paper Algorithm 1, Appendix B).
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,11 @@
 namespace lsmstats {
 namespace {
 
+std::unique_ptr<WaveletSynopsis> AsWavelet(std::unique_ptr<Synopsis> s) {
+  return std::unique_ptr<WaveletSynopsis>(
+      static_cast<WaveletSynopsis*>(s.release()));
+}
+
 // Builds a streaming wavelet over (position, frequency) tuples.
 std::unique_ptr<WaveletSynopsis> BuildStreaming(
     const ValueDomain& domain, size_t budget,
@@ -27,9 +35,7 @@ std::unique_ptr<WaveletSynopsis> BuildStreaming(
       builder.Add(domain.ValueAt(pos));
     }
   }
-  std::unique_ptr<Synopsis> synopsis = builder.Finish();
-  return std::unique_ptr<WaveletSynopsis>(
-      static_cast<WaveletSynopsis*>(synopsis.release()));
+  return AsWavelet(builder.Finish());
 }
 
 // Exact prefix sums of a tuple list over a domain.
@@ -213,6 +219,197 @@ TEST(Wavelet, RawFrequencyRangeSumMatchesBruteForce) {
                                         static_cast<int64_t>(b)),
                 exact, 1e-6);
   }
+}
+
+// ------------------------------------------------- step table == tree walk
+
+// The per-level error-tree walk the step table replaced, kept as the
+// reference: one hash probe per level, adding +c over the right half of each
+// kept coefficient's support and -c over the left.
+class ReferenceWalk {
+ public:
+  explicit ReferenceWalk(const WaveletSynopsis& synopsis)
+      : log_domain_(synopsis.domain().log_length()) {
+    for (const WaveletCoefficient& c : synopsis.CoefficientsInPreOrder()) {
+      coefficients_.emplace(c.index, c.value);
+    }
+  }
+
+  double Point(uint64_t position) const {
+    auto root = coefficients_.find(0);
+    double value = root == coefficients_.end() ? 0.0 : root->second;
+    uint64_t node = 1;
+    for (int d = log_domain_ - 1; d >= 0; --d) {
+      auto it = coefficients_.find(node);
+      uint64_t bit = (position >> d) & 1;
+      if (it != coefficients_.end()) value += bit ? it->second : -it->second;
+      if (d > 0) node = (node << 1) | bit;
+    }
+    return value;
+  }
+
+ private:
+  int log_domain_;
+  std::unordered_map<uint64_t, double> coefficients_;
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Every position of the domain: ReconstructPoint and the prefix estimate
+// EstimateRange(min, p) are bit-for-bit the reference walk.
+void ExpectStepsMatchWalk(const WaveletSynopsis& synopsis) {
+  EXPECT_LE(synopsis.StepCount(), 3 * synopsis.ElementCount() + 1);
+  ReferenceWalk walk(synopsis);
+  const ValueDomain& domain = synopsis.domain();
+  for (uint64_t p = 0; p <= domain.MaxPosition(); ++p) {
+    const double expected = walk.Point(p);
+    ASSERT_TRUE(SameBits(synopsis.ReconstructPoint(p), expected))
+        << "p=" << p << " " << synopsis.DebugString();
+    ASSERT_TRUE(SameBits(
+        synopsis.EstimateRange(domain.min_value(), domain.ValueAt(p)),
+        expected - 0.0))
+        << "p=" << p << " " << synopsis.DebugString();
+  }
+  Random rng(domain.MaxPosition());
+  for (int q = 0; q < 200; ++q) {
+    uint64_t a = rng.Uniform(domain.MaxPosition() + 1);
+    uint64_t b = rng.Uniform(domain.MaxPosition() + 1);
+    if (a > b) std::swap(a, b);
+    const double expected =
+        walk.Point(b) - (a == 0 ? 0.0 : walk.Point(a - 1));
+    ASSERT_TRUE(SameBits(
+        synopsis.EstimateRange(domain.ValueAt(a), domain.ValueAt(b)),
+        expected))
+        << "[" << a << ", " << b << "]";
+  }
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> RandomTuples(
+    const ValueDomain& domain, size_t count, uint64_t seed) {
+  Random rng(seed);
+  std::map<uint64_t, uint64_t> tuples;
+  for (size_t i = 0; i < count; ++i) {
+    tuples[rng.Uniform(domain.MaxPosition() + 1)] += 1 + rng.Uniform(20);
+  }
+  return {tuples.begin(), tuples.end()};
+}
+
+TEST(WaveletSteps, MatchTreeWalkOnBuiltDecodedClonedAndMerged) {
+  for (int log_domain : {8, 12, 16}) {
+    const ValueDomain domain(-300, log_domain);
+    for (size_t budget : {1u, 16u, 256u}) {
+      SCOPED_TRACE("log_domain=" + std::to_string(log_domain) +
+                   " budget=" + std::to_string(budget));
+      auto built =
+          BuildStreaming(domain, budget, RandomTuples(domain, 600, budget));
+      auto other = BuildStreaming(domain, budget,
+                                  RandomTuples(domain, 400, budget + 1));
+      {
+        SCOPED_TRACE("built");
+        ASSERT_NO_FATAL_FAILURE(ExpectStepsMatchWalk(*built));
+      }
+      {
+        SCOPED_TRACE("decoded");
+        Encoder enc;
+        built->EncodeTo(&enc);
+        Decoder dec(enc.buffer());
+        auto decoded = DecodeSynopsis(&dec);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectStepsMatchWalk(*AsWavelet(std::move(decoded).value())));
+      }
+      {
+        SCOPED_TRACE("cloned");
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectStepsMatchWalk(*AsWavelet(built->Clone())));
+      }
+      {
+        SCOPED_TRACE("merged");
+        ASSERT_TRUE(built->MergeFrom(*other).ok());
+        ASSERT_NO_FATAL_FAILURE(ExpectStepsMatchWalk(*built));
+      }
+    }
+  }
+}
+
+TEST(WaveletSteps, MatchTreeWalkOnInexactCoefficients) {
+  // Built coefficients are dyadic rationals, whose sums are exact in any
+  // order. Arbitrary doubles make the order of the additions visible.
+  const ValueDomain domain(0, 12);
+  auto random_synopsis = [&](uint64_t seed) {
+    Random rng(seed);
+    // A large overall average: the thresholding keeps it.
+    std::vector<WaveletCoefficient> coefficients = {
+        {0, 1e4 / 3.0 + static_cast<double>(seed)}};
+    for (int i = 0; i < 300; ++i) {
+      coefficients.push_back(
+          {rng.Uniform(uint64_t{1} << 12),
+           (static_cast<double>(rng.Uniform(1000000)) - 5e5) / 7.0 * 1e-3});
+    }
+    return WaveletSynopsis(domain, 256, WaveletEncoding::kPrefixSum,
+                           std::move(coefficients), 1000);
+  };
+  WaveletSynopsis a = random_synopsis(1);
+  ASSERT_NO_FATAL_FAILURE(ExpectStepsMatchWalk(a));
+  ASSERT_TRUE(a.MergeFrom(random_synopsis(2)).ok());
+  ASSERT_NO_FATAL_FAILURE(ExpectStepsMatchWalk(a));
+}
+
+TEST(WaveletSteps, EmptyAndRootOnlySynopses) {
+  const ValueDomain domain(0, 12);
+  StreamingWaveletBuilder builder(domain, 64);
+  auto empty = AsWavelet(builder.Finish());
+  EXPECT_EQ(empty->StepCount(), 1u);
+  ASSERT_NO_FATAL_FAILURE(ExpectStepsMatchWalk(*empty));
+
+  WaveletSynopsis root_only(domain, 16, WaveletEncoding::kPrefixSum,
+                            {{0, 2.5}}, 10);
+  EXPECT_EQ(root_only.StepCount(), 1u);
+  ASSERT_NO_FATAL_FAILURE(ExpectStepsMatchWalk(root_only));
+}
+
+TEST(WaveletSteps, RawFrequencyPointsMatchTreeWalk) {
+  const ValueDomain domain(0, 8);
+  auto synopsis = BuildWaveletNaive(domain, 16, WaveletEncoding::kRawFrequency,
+                                    RandomTuples(domain, 80, 5));
+  ReferenceWalk walk(*synopsis);
+  for (uint64_t p = 0; p <= domain.MaxPosition(); ++p) {
+    ASSERT_TRUE(SameBits(synopsis->ReconstructPoint(p), walk.Point(p)))
+        << "p=" << p;
+  }
+}
+
+TEST(WaveletSteps, FullInt64DomainStepEdgesMatchTreeWalk) {
+  // Supports up to 2^64 long: the walk's overflow guards, checked at every
+  // step edge (the only places the reconstruction can change).
+  const ValueDomain domain = ValueDomain::ForType(FieldType::kInt64);
+  StreamingWaveletBuilder builder(domain, 64);
+  const std::vector<int64_t> values = {INT64_MIN, INT64_MIN + 1, -77, 0, 0, 5,
+                                       int64_t{1} << 40, INT64_MAX - 1,
+                                       INT64_MAX};
+  for (int64_t v : values) builder.Add(v);
+  auto synopsis = AsWavelet(builder.Finish());
+  ReferenceWalk walk(*synopsis);
+  // Probe around every support's start, middle and end.
+  std::vector<uint64_t> probes = {0, UINT64_MAX};
+  for (const WaveletCoefficient& c : synopsis->CoefficientsInPreOrder()) {
+    if (c.index == 0) continue;
+    const int depth = std::bit_width(c.index) - 1;
+    const int support_log = 64 - depth;
+    const uint64_t start =
+        depth == 0 ? 0 : (c.index - (uint64_t{1} << depth)) << support_log;
+    const uint64_t half = uint64_t{1} << (support_log - 1);
+    for (uint64_t edge : {start, start + half, start + half + half}) {
+      for (uint64_t p : {edge - 1, edge, edge + 1}) probes.push_back(p);
+    }
+  }
+  for (uint64_t p : probes) {
+    ASSERT_TRUE(SameBits(synopsis->ReconstructPoint(p), walk.Point(p)))
+        << "p=" << p;
+  }
+  EXPECT_LE(synopsis->StepCount(), 3 * synopsis->ElementCount() + 1);
 }
 
 // -------------------------------------------------------------- merging
