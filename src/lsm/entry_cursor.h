@@ -39,8 +39,7 @@ class EntryCursor {
   const EntryView* current_ = nullptr;
 };
 
-// Cursor over an owned, pre-sorted entry vector (memtable snapshots,
-// bulkload inputs, tests).
+// Cursor over an owned, pre-sorted entry vector (bulkload inputs, tests).
 class VectorEntryCursor final : public EntryCursor {
  public:
   explicit VectorEntryCursor(std::vector<Entry> entries)

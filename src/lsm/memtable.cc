@@ -1,5 +1,6 @@
 #include "lsm/memtable.h"
 
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -11,7 +12,7 @@ constexpr uint64_t kPerEntryOverhead = 64;  // map node + key + flags
 
 class MemTable::FrozenCursor final : public EntryCursor {
  public:
-  using Iterator = std::map<LsmKey, EntryState>::const_iterator;
+  using Iterator = std::pmr::map<LsmKey, EntryState>::const_iterator;
 
   FrozenCursor(std::shared_ptr<const MemTable> memtable, Iterator begin,
                Iterator end)
@@ -58,17 +59,61 @@ std::unique_ptr<EntryCursor> MemTable::NewFrozenCursor(
   return std::make_unique<FrozenCursor>(std::move(memtable), begin, end);
 }
 
+// Owns a copy of a range: the views, and in value mode the one buffer that
+// holds their values' bytes back to back.
+class MemTable::SnapshotCursor final : public EntryCursor {
+ public:
+  // `views` still point at the memtable's values unless `keys_only`; they
+  // are repointed here, once `values` sits where it stays (moving a short
+  // string moves its bytes).
+  SnapshotCursor(std::vector<EntryView> views, std::string values,
+                 bool keys_only)
+      : views_(std::move(views)), values_(std::move(values)) {
+    if (!keys_only) {
+      size_t offset = 0;
+      for (EntryView& view : views_) {
+        view.value =
+            std::string_view(values_).substr(offset, view.value.size());
+        offset += view.value.size();
+      }
+    }
+    Load();
+  }
+
+  void Next() override {
+    if (current_ == nullptr) return;
+    ++pos_;
+    Load();
+  }
+  [[nodiscard]] Status status() const override { return Status::OK(); }
+
+ private:
+  void Load() {
+    current_ = pos_ < views_.size() ? &views_[pos_] : nullptr;
+  }
+
+  std::vector<EntryView> views_;
+  std::string values_;
+  size_t pos_ = 0;
+};
+
 std::unique_ptr<EntryCursor> MemTable::NewSnapshotCursor(
     const LsmKey& lo, const LsmKey& hi, bool keys_only) const {
   auto end = entries_.upper_bound(hi);
   auto it = hi < lo ? end : entries_.lower_bound(lo);
-  std::vector<Entry> entries;
+  std::vector<EntryView> views;
+  std::string values;
   for (; it != end; ++it) {
-    entries.push_back(Entry{it->first,
-                            keys_only ? std::string() : it->second.value,
-                            it->second.anti_matter});
+    const EntryState& state = it->second;
+    if (keys_only) {
+      views.push_back(EntryView{it->first, {}, state.anti_matter});
+    } else {
+      views.push_back(EntryView{it->first, state.value, state.anti_matter});
+      values += state.value;
+    }
   }
-  return std::make_unique<VectorEntryCursor>(std::move(entries));
+  return std::make_unique<SnapshotCursor>(std::move(views), std::move(values),
+                                          keys_only);
 }
 
 void MemTable::Put(const LsmKey& key, std::string value, bool fresh_insert) {
@@ -137,12 +182,6 @@ Status MemTable::Get(const LsmKey& key, std::string* value,
   *is_anti_matter = it->second.anti_matter;
   if (!it->second.anti_matter) *value = it->second.value;
   return Status::OK();
-}
-
-void MemTable::Clear() {
-  entries_.clear();
-  anti_matter_count_ = 0;
-  approximate_bytes_ = 0;
 }
 
 uint64_t MemTable::DebugComputeBytes() const {

@@ -8,7 +8,13 @@
 // §4.3.4 relies on exactly this behaviour ("as opposed to their just being
 // silently deleted within in-memory components").
 //
-// The memtable is externally synchronized, like the rest of the engine.
+// The map's nodes come from a pool the memtable owns, so a range walk reads
+// nodes packed together instead of scattered between the heap's other
+// allocations (a primary tree's values, above all). Nodes freed by an
+// annihilating delete are reused; the pool is released with the memtable.
+//
+// The memtable is externally synchronized, like the rest of the engine: only
+// the writer allocates, and a frozen memtable never changes.
 
 #ifndef LSMSTATS_LSM_MEMTABLE_H_
 #define LSMSTATS_LSM_MEMTABLE_H_
@@ -16,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <string>
 
 #include "common/status.h"
@@ -62,8 +69,6 @@ class MemTable {
   // buffers) shows up as a mismatch here.
   uint64_t DebugComputeBytes() const;
 
-  void Clear();
-
   // Cursor over the entries in [lo, hi] (all of them without bounds) of a
   // memtable that no longer changes — a frozen one. It reads the map in
   // place: views point into the memtable, which the cursor keeps alive.
@@ -74,14 +79,16 @@ class MemTable {
       const LsmKey& hi);
 
   // Cursor over a copy of the entries in [lo, hi], for the mutable memtable,
-  // which changes once its lock is released. With `keys_only` no value is
-  // copied and every view's value is empty (counting needs keys alone).
+  // which changes once its lock is released. The copy is one vector of views
+  // and, unless `keys_only`, one buffer holding every value's bytes; with
+  // `keys_only` every view's value is empty (counting needs keys alone).
   std::unique_ptr<EntryCursor> NewSnapshotCursor(const LsmKey& lo,
                                                  const LsmKey& hi,
                                                  bool keys_only) const;
 
  private:
   class FrozenCursor;
+  class SnapshotCursor;
 
   struct EntryState {
     std::string value;
@@ -89,7 +96,9 @@ class MemTable {
     bool fresh_insert = false;
   };
 
-  std::map<LsmKey, EntryState> entries_;
+  // Declared before the map, so the map's nodes are destroyed first.
+  std::pmr::unsynchronized_pool_resource pool_;
+  std::pmr::map<LsmKey, EntryState> entries_{&pool_};
   uint64_t anti_matter_count_ = 0;
   uint64_t approximate_bytes_ = 0;
 };

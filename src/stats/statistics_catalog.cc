@@ -18,6 +18,7 @@ constexpr size_t kCatalogTrailerSize = 4 + 8;  // payload CRC32C + magic
 StatisticsCatalog::StatisticsCatalog(StatisticsCatalog&& other) {
   MutexLock lock(&other.mu_);
   streams_ = std::move(other.streams_);
+  last_version_ = other.last_version_;
 }
 
 StatisticsCatalog& StatisticsCatalog::operator=(StatisticsCatalog&& other) {
@@ -29,12 +30,19 @@ StatisticsCatalog& StatisticsCatalog::operator=(StatisticsCatalog&& other) {
     // instant between the two is safe: replacement has a single writer
     // (LoadFromFile), and readers see either the old or the new catalog.
     std::map<StatisticsKey, Stream> taken;
+    uint64_t taken_last_version = 0;
     {
       MutexLock lock(&other.mu_);
       taken = std::move(other.streams_);
       other.streams_.clear();
+      taken_last_version = other.last_version_;
     }
+    // Shift the taken versions past every version handed out here: an
+    // estimator bound to this catalog may hold a merged pair cached under
+    // any of them, and must see each installed stream as new.
     MutexLock lock(&mu_);
+    for (auto& [key, stream] : taken) stream.version += last_version_;
+    last_version_ += taken_last_version;
     streams_ = std::move(taken);
   }
   return *this;
@@ -53,7 +61,7 @@ void StatisticsCatalog::Republish(Stream* stream,
   }
   if (added != nullptr) next->push_back(std::move(*added));
   stream->entries = std::move(next);
-  ++stream->version;
+  stream->version = ++last_version_;
 }
 
 void StatisticsCatalog::Register(
@@ -181,6 +189,7 @@ StatusOr<StatisticsCatalog> StatisticsCatalog::DecodeFrom(Decoder* dec) {
       LSMSTATS_RETURN_IF_ERROR(dec->GetU32(&key.partition));
       Stream& stream = catalog.streams_[key];
       LSMSTATS_RETURN_IF_ERROR(dec->GetVarint64(&stream.version));
+      catalog.last_version_ = std::max(catalog.last_version_, stream.version);
       uint64_t entry_count;
       LSMSTATS_RETURN_IF_ERROR(dec->GetVarint64(&entry_count));
       if (entry_count > dec->remaining()) {

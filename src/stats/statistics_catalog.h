@@ -6,8 +6,12 @@
 // persisted in the system catalog, so that it can be used during query
 // optimization"). When a merge replaces components, their catalog entries are
 // dropped and the merged component's freshly rebuilt synopses take their
-// place (§3.5). A monotonically increasing version per (dataset, field)
-// supports the merged-synopsis cache staleness check of Algorithm 2.
+// place (§3.5). Every publication of a stream is stamped with a version
+// drawn from one catalog-wide counter, so a version names one set of entries
+// for the catalog's whole life; this supports the merged-synopsis cache
+// staleness check of Algorithm 2. Loading a saved catalog shifts the loaded
+// versions past every version this catalog has handed out, so an estimator
+// bound to it never mistakes the loaded entries for ones it has cached.
 //
 // The catalog is internally synchronized: statistics delivery runs on the
 // background scheduler's workers while queries estimate from the same
@@ -98,7 +102,8 @@ class StatisticsCatalog {
   std::vector<StatisticsKey> Keys(const std::string& dataset,
                                   const std::string& field) const;
 
-  // Bumped on every Register/Drop of the key; the estimator compares this to
+  // Moves on every Register/Drop of the key and on a load, never back to a
+  // value this catalog handed out before; the estimator compares this to
   // decide whether its cached merged synopsis is stale (Algorithm 2 isStale).
   uint64_t Version(const StatisticsKey& key) const;
 
@@ -133,15 +138,17 @@ class StatisticsCatalog {
   };
 
   // Publishes `stream`'s entries minus those of `removed_ids`, plus `added`
-  // when given, as a new immutable vector, and bumps the version.
-  static void Republish(Stream* stream,
-                        const std::vector<uint64_t>& removed_ids,
-                        SynopsisEntry* added);
+  // when given, as a new immutable vector under the next version.
+  void Republish(Stream* stream, const std::vector<uint64_t>& removed_ids,
+                 SynopsisEntry* added) REQUIRES(mu_);
 
   // Guards streams_. EncodeTo locks it, so Save/DecodeFrom callers must not
   // hold it (they don't: SaveToFile only touches the encoder and the file).
   mutable Mutex mu_{LockRank::kStatisticsCatalog, "statistics_catalog"};
   std::map<StatisticsKey, Stream> streams_ GUARDED_BY(mu_);
+  // The last version handed out to any stream; no stream's version is
+  // above it.
+  uint64_t last_version_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace lsmstats

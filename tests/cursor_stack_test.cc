@@ -6,10 +6,13 @@
 // keys overlap across layers and anti-matter shadows older records. The
 // reconciled stream is checked against a std::map over random ranges plus
 // the edge ranges (empty, inverted, a single key, the whole domain), both
-// through MergeCursor directly (with and without anti-matter dropping) and
+// through MergeCursor directly (with and without anti-matter dropping, and
+// with the mutable memtable's snapshot taken with and without values) and
 // through LsmTree::Scan / ScanCount on a tree holding the same three kinds of
 // layer. An input that fails partway must stop the merge with its status;
-// ScanCount must return that status, never a short count.
+// ScanCount must return that status, never a short count. A snapshot of a
+// memtable must keep yielding exactly what it copied once the memtable has
+// changed or is gone.
 
 #include <atomic>
 #include <condition_variable>
@@ -211,14 +214,25 @@ class CursorStack {
 
   const std::vector<Layer>& layers() const { return layers_; }
 
+  // The layers as a keys-only snapshot sees them: the mutable memtable's
+  // values read empty.
+  std::vector<Layer> LayersKeysOnly() const {
+    std::vector<Layer> layers = layers_;
+    for (auto& [key, value] : layers.front()) {
+      if (value.has_value()) value->clear();
+    }
+    return layers;
+  }
+
   // One cursor per layer over [lo, hi], the way LsmTree::NewRangeCursor
-  // builds them. `fail_input` (if set) fails after `fail_after` entries.
+  // builds them; the mutable memtable's snapshot copies values unless
+  // `keys_only`. `fail_input` (if set) fails after `fail_after` entries.
   std::vector<std::unique_ptr<EntryCursor>> Inputs(
-      const LsmKey& lo, const LsmKey& hi,
+      const LsmKey& lo, const LsmKey& hi, bool keys_only = false,
       std::optional<size_t> fail_input = std::nullopt,
       size_t fail_after = 0) const {
     std::vector<std::unique_ptr<EntryCursor>> inputs;
-    inputs.push_back(mutable_.NewSnapshotCursor(lo, hi, /*keys_only=*/false));
+    inputs.push_back(mutable_.NewSnapshotCursor(lo, hi, keys_only));
     for (const auto& frozen : frozen_) {
       inputs.push_back(MemTable::NewFrozenCursor(frozen, lo, hi));
     }
@@ -255,17 +269,23 @@ TEST(CursorStack, MergeCursorMatchesReconciliation) {
     CursorStack stack(dir.path(), seed);
     Random rng(seed * 31 + 7);
     const LsmKey present = stack.layers()[3].begin()->first;
+    const std::vector<Layer> keys_only_layers = stack.LayersKeysOnly();
     for (const auto& [lo, hi] : TestRanges(&rng, present)) {
-      for (bool drop : {true, false}) {
-        MergeCursor merged(stack.Inputs(lo, hi), drop);
-        std::vector<Entry> actual = Drain(&merged);
-        EXPECT_TRUE(merged.status().ok()) << merged.status().ToString();
-        // Exhausted: further Next() calls stay put.
-        merged.Next();
-        EXPECT_FALSE(merged.Valid());
-        ExpectSameEntries(Reconcile(stack.layers(), lo, hi, drop), actual,
-                          "seed " + std::to_string(seed) +
-                              (drop ? " drop" : " keep"));
+      for (bool keys_only : {false, true}) {
+        for (bool drop : {true, false}) {
+          MergeCursor merged(stack.Inputs(lo, hi, keys_only), drop);
+          std::vector<Entry> actual = Drain(&merged);
+          EXPECT_TRUE(merged.status().ok()) << merged.status().ToString();
+          // Exhausted: further Next() calls stay put.
+          merged.Next();
+          EXPECT_FALSE(merged.Valid());
+          ExpectSameEntries(
+              Reconcile(keys_only ? keys_only_layers : stack.layers(), lo, hi,
+                        drop),
+              actual,
+              "seed " + std::to_string(seed) + (drop ? " drop" : " keep") +
+                  (keys_only ? " keys-only" : ""));
+        }
       }
     }
   }
@@ -280,7 +300,9 @@ TEST(CursorStack, FailingInputStopsTheMergeWithItsStatus) {
       Reconcile(stack.layers(), lo, hi, /*drop_anti_matter=*/false).size();
   for (size_t input = 0; input < stack.layers().size(); ++input) {
     for (bool drop : {true, false}) {
-      MergeCursor merged(stack.Inputs(lo, hi, input, /*fail_after=*/5), drop);
+      MergeCursor merged(
+          stack.Inputs(lo, hi, /*keys_only=*/false, input, /*fail_after=*/5),
+          drop);
       const size_t yielded = Drain(&merged).size();
       EXPECT_EQ(merged.status().code(), StatusCode::kIOError)
           << "input " << input;
@@ -288,6 +310,69 @@ TEST(CursorStack, FailingInputStopsTheMergeWithItsStatus) {
       merged.Next();
       EXPECT_FALSE(merged.Valid());
       EXPECT_EQ(merged.status().code(), StatusCode::kIOError);
+    }
+  }
+}
+
+TEST(CursorStack, MemTableSnapshotsOutliveMutationAndTheMemTable) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    auto memtable = std::make_unique<MemTable>();
+    const Layer layer = RandomLayer(&rng, 60);
+    std::vector<LsmKey> fresh;  // inserted fresh: a Delete annihilates them
+    for (const auto& [key, value] : layer) {
+      if (!value.has_value()) {
+        memtable->PutAntiMatter(key);
+      } else {
+        const bool is_fresh = rng.Uniform(2) == 0;
+        memtable->Put(key, *value, is_fresh);
+        if (is_fresh) fresh.push_back(key);
+      }
+    }
+    ASSERT_FALSE(fresh.empty());
+
+    struct Snapshot {
+      std::unique_ptr<EntryCursor> cursor;
+      std::vector<Entry> expected;
+      std::string what;
+    };
+    std::vector<Snapshot> snapshots;
+    for (const auto& [lo, hi] : TestRanges(&rng, layer.begin()->first)) {
+      for (bool keys_only : {false, true}) {
+        std::vector<Entry> expected =
+            Reconcile({layer}, lo, hi, /*drop_anti_matter=*/false);
+        if (keys_only) {
+          for (Entry& entry : expected) entry.value.clear();
+        }
+        snapshots.push_back({memtable->NewSnapshotCursor(lo, hi, keys_only),
+                             std::move(expected),
+                             keys_only ? "keys-only" : "values"});
+      }
+    }
+
+    // Annihilate the fresh inserts, then overwrite or anti-matter every key
+    // of the domain, and drop the memtable.
+    const uint64_t before = memtable->EntryCount();
+    for (const LsmKey& key : fresh) memtable->Delete(key);
+    EXPECT_EQ(memtable->EntryCount(), before - fresh.size());
+    for (int64_t sk = 0; sk < kSecondaryValues; ++sk) {
+      for (int64_t pk = 0; pk < kPksPerValue; ++pk) {
+        const LsmKey key = SecondaryKey(sk, pk);
+        if (rng.Uniform(3) == 0) {
+          memtable->PutAntiMatter(key);
+        } else {
+          memtable->Put(key, std::string(rng.Uniform(61), 'z'),
+                        /*fresh_insert=*/false);
+        }
+      }
+    }
+    memtable.reset();
+
+    for (Snapshot& snapshot : snapshots) {
+      ExpectSameEntries(snapshot.expected, Drain(snapshot.cursor.get()),
+                        snapshot.what);
+      EXPECT_TRUE(snapshot.cursor->status().ok());
     }
   }
 }

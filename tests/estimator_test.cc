@@ -356,6 +356,40 @@ TEST(Estimator, SavedAndLoadedCatalogEstimatesBitIdentically) {
   }
 }
 
+TEST(Estimator, LoadedCatalogNeverReusesACachedVersion) {
+  // A load installs streams saved at older versions. Were those versions
+  // reused, a later Register could publish a version a live estimator has
+  // already cached a merged pair under, and the stale pair would be served.
+  char tmpl[] = "/tmp/lsmstats_catalog_XXXXXX";
+  const std::string dir = ::mkdtemp(tmpl);
+  const std::string path = dir + "/catalog";
+  const StatisticsKey key{"ds", "w", 0};
+  auto wavelet = [](const std::vector<int64_t>& values) {
+    return MakeSynopsis(SynopsisType::kWavelet, values);
+  };
+  StatisticsCatalog catalog;
+  CardinalityEstimator long_lived(&catalog, {});
+  catalog.Register(key, MakeEntry(1, wavelet({1})), {});
+  ASSERT_TRUE(catalog.SaveToFile(path).ok());
+  catalog.Register(key, MakeEntry(2, wavelet({2, 3})), {});
+  EXPECT_NEAR(long_lived.EstimateRangePartition(key, 0, 63), 3.0, 1e-6);
+  const uint64_t cached_version = catalog.Version(key);
+
+  ASSERT_TRUE(catalog.LoadFromFile(path).ok());
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(catalog.Version(key), cached_version);
+  catalog.Register(key, MakeEntry(2, wavelet({4, 5, 6, 7, 8})), {});
+  EXPECT_GT(catalog.Version(key), cached_version);
+
+  CardinalityEstimator fresh(&catalog, {});
+  const double expected = fresh.EstimateRangePartition(key, 0, 63);
+  EXPECT_NEAR(expected, 6.0, 1e-6);
+  CardinalityEstimator::QueryStats stats;
+  EXPECT_TRUE(SameBits(long_lived.EstimateRangePartition(key, 0, 63, &stats),
+                       expected));
+  EXPECT_FALSE(stats.served_from_cache);
+}
+
 TEST(Estimator, MultiplePartitionsSum) {
   StatisticsCatalog catalog;
   catalog.Register({"ds", "f", 0},
