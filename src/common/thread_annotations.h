@@ -14,7 +14,7 @@
 //   * A function that must NOT be entered with a lock held (because it
 //     acquires it, or blocks on it) is annotated EXCLUDES(mu).
 //   * Lambdas invoked under a lock the analysis cannot see through (e.g. the
-//     install callbacks WriteComponent runs under mu_) start with
+//     condition-variable predicates LsmTree waits on under mu_) start with
 //     `mu_.AssertHeld()`, which both informs the analysis and — in debug
 //     builds — verifies the claim at runtime via the lock-rank tracker.
 //

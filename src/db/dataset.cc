@@ -6,6 +6,8 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "stats/composite_collector.h"
+#include "stats/unsorted_field_collector.h"
 
 namespace lsmstats {
 
@@ -13,7 +15,37 @@ namespace {
 
 constexpr char kPrimaryKeyField[] = "_pk";
 
+// The one place a dataset resolves its index trees' options: every index
+// shares the directory, merge policy, scheduler, env and storage settings,
+// and runs with auto_flush off because the dataset coordinates flushes.
+LsmTreeOptions IndexTreeOptions(const DatasetOptions& opts, std::string name) {
+  LsmTreeOptions tree_options;
+  tree_options.directory = opts.directory;
+  tree_options.name = std::move(name);
+  tree_options.auto_flush = false;
+  tree_options.merge_policy = opts.merge_policy;
+  tree_options.scheduler = opts.scheduler;
+  tree_options.env = opts.env;
+  tree_options.write_options.compression = opts.compression;
+  tree_options.block_cache = opts.block_cache.get();
+  tree_options.min_free_bytes = opts.min_free_bytes;
+  return tree_options;
+}
+
 }  // namespace
+
+LsmKey Dataset::IndexTree::KeyOf(const Record& record) const {
+  switch (kind) {
+    case Kind::kPrimary:
+      return PrimaryKey(record.pk);
+    case Kind::kSecondary:
+      return SecondaryKey(record.fields[field_a], record.pk);
+    case Kind::kComposite:
+      return CompositeKey(record.fields[field_a], record.fields[field_b],
+                          record.pk);
+  }
+  return LsmKey{};
+}
 
 Dataset::Dataset(DatasetOptions options) : options_(std::move(options)) {}
 
@@ -25,9 +57,7 @@ Dataset::~Dataset() {
   // waits out its own jobs — while the collectors and the arbiter are still
   // alive.
   if (arbiter_ != nullptr) arbiter_->Shutdown();
-  composite_trees_.clear();
-  secondaries_.clear();
-  primary_.reset();
+  trees_.clear();
 }
 
 StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
@@ -55,100 +85,71 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
         std::make_shared<BlockCache>(dataset->options_.block_cache_mb << 20);
   }
   dataset->env_ = opts.env != nullptr ? opts.env : Env::Default();
-  auto apply_storage_options = [&](LsmTreeOptions& tree_opts) {
-    tree_opts.write_options.compression = opts.compression;
-    tree_opts.block_cache = opts.block_cache.get();
-    tree_opts.min_free_bytes = opts.min_free_bytes;
+
+  // The index trees, in tree-id order: the primary, a secondary per indexed
+  // field, a composite per composite index (paper §5). Each gets the
+  // statistics collectors that summarize its stream.
+  auto add_tree = [&](IndexTree::Kind kind, size_t field_a, size_t field_b,
+                      const std::string& suffix) -> StatusOr<LsmTree*> {
+    auto tree_or = LsmTree::Open(IndexTreeOptions(opts, opts.name + suffix));
+    LSMSTATS_RETURN_IF_ERROR(tree_or.status());
+    dataset->trees_.push_back(
+        IndexTree{kind, field_a, field_b, std::move(tree_or).value()});
+    return dataset->trees_.back().tree.get();
   };
-
-  // Primary index. The dataset coordinates flushes itself so the trees run
-  // with auto_flush off.
-  LsmTreeOptions tree_options;
-  tree_options.directory = opts.directory;
-  tree_options.name = opts.name + "_pk";
-  tree_options.auto_flush = false;
-  tree_options.merge_policy = opts.merge_policy;
-  tree_options.scheduler = opts.scheduler;
-  tree_options.env = opts.env;
-  apply_storage_options(tree_options);
-  auto primary_or = LsmTree::Open(tree_options);
-  LSMSTATS_RETURN_IF_ERROR(primary_or.status());
-  dataset->primary_ = std::move(primary_or).value();
-
-  auto attach_collector = [&](const std::string& field,
-                              const ValueDomain& domain, LsmTree* tree) {
-    if (opts.synopsis_type == SynopsisType::kNone) return;
+  auto attach = [&](LsmTree* tree,
+                    std::unique_ptr<LsmEventListener> collector) {
+    tree->AddListener(collector.get());
+    dataset->collectors_.push_back(std::move(collector));
+  };
+  const bool stats = opts.synopsis_type != SynopsisType::kNone;
+  auto field_collector = [&](const std::string& field,
+                             const ValueDomain& domain) {
     SynopsisConfig config;
     config.type = opts.synopsis_type;
     config.budget = opts.synopsis_budget;
     config.domain = domain;
-    StatisticsKey key{opts.name, field, opts.partition};
-    dataset->collectors_.push_back(std::make_unique<StatisticsCollector>(
-        std::move(key), config, opts.sink));
-    tree->AddListener(dataset->collectors_.back().get());
+    return std::make_unique<StatisticsCollector>(
+        StatisticsKey{opts.name, field, opts.partition}, config, opts.sink);
   };
 
-  if (opts.collect_primary_key_stats) {
-    attach_collector(kPrimaryKeyField, ValueDomain::ForType(FieldType::kInt64),
-                     dataset->primary_.get());
+  auto primary = add_tree(IndexTree::Kind::kPrimary, 0, 0, "_pk");
+  LSMSTATS_RETURN_IF_ERROR(primary.status());
+  if (stats && opts.collect_primary_key_stats) {
+    attach(*primary, field_collector(kPrimaryKeyField,
+                                     ValueDomain::ForType(FieldType::kInt64)));
   }
   if (!opts.unsorted_stats_fields.empty()) {
     if (opts.sink == nullptr) {
       return Status::InvalidArgument(
           "unsorted_stats_fields requires DatasetOptions.sink");
     }
-    dataset->unsorted_collector_ = std::make_unique<UnsortedFieldCollector>(
-        opts.name, &dataset->options_.schema, opts.unsorted_stats_fields,
-        opts.synopsis_budget, opts.sink, opts.partition);
-    dataset->primary_->AddListener(dataset->unsorted_collector_.get());
+    attach(*primary, std::make_unique<UnsortedFieldCollector>(
+                         opts.name, &dataset->options_.schema,
+                         opts.unsorted_stats_fields, opts.synopsis_budget,
+                         opts.sink, opts.partition));
   }
-
-  // Secondary indexes on the indexed fields.
-  dataset->indexed_fields_ = opts.schema.IndexedFields();
-  for (size_t field_index : dataset->indexed_fields_) {
+  for (size_t field_index : opts.schema.IndexedFields()) {
     const FieldDef& def = opts.schema.field(field_index);
-    LsmTreeOptions sk_options;
-    sk_options.directory = opts.directory;
-    sk_options.name = opts.name + "_sk_" + def.name;
-    sk_options.auto_flush = false;
-    sk_options.merge_policy = opts.merge_policy;
-    sk_options.scheduler = opts.scheduler;
-    sk_options.env = opts.env;
-    apply_storage_options(sk_options);
-    auto tree_or = LsmTree::Open(sk_options);
-    LSMSTATS_RETURN_IF_ERROR(tree_or.status());
-    dataset->secondaries_.push_back(std::move(tree_or).value());
-    attach_collector(def.name, def.EffectiveDomain(),
-                     dataset->secondaries_.back().get());
+    auto tree = add_tree(IndexTree::Kind::kSecondary, field_index, 0,
+                         "_sk_" + def.name);
+    LSMSTATS_RETURN_IF_ERROR(tree.status());
+    if (stats) attach(*tree, field_collector(def.name, def.EffectiveDomain()));
   }
-  // Composite secondary indexes (paper §5).
   for (const auto& [field_a, field_b] : opts.composite_indexes) {
     auto index_a = opts.schema.FieldIndex(field_a);
     LSMSTATS_RETURN_IF_ERROR(index_a.status());
     auto index_b = opts.schema.FieldIndex(field_b);
     LSMSTATS_RETURN_IF_ERROR(index_b.status());
-    LsmTreeOptions ck_options;
-    ck_options.directory = opts.directory;
-    ck_options.name = opts.name + "_ck_" + field_a + "_" + field_b;
-    ck_options.auto_flush = false;
-    ck_options.merge_policy = opts.merge_policy;
-    ck_options.scheduler = opts.scheduler;
-    ck_options.env = opts.env;
-    apply_storage_options(ck_options);
-    auto tree = LsmTree::Open(ck_options);
+    auto tree = add_tree(IndexTree::Kind::kComposite, *index_a, *index_b,
+                         "_ck_" + field_a + "_" + field_b);
     LSMSTATS_RETURN_IF_ERROR(tree.status());
-    dataset->composite_fields_.push_back(
-        {index_a.value(), index_b.value()});
-    dataset->composite_trees_.push_back(std::move(tree).value());
-    if (opts.synopsis_type != SynopsisType::kNone) {
-      dataset->composite_collectors_.push_back(
-          std::make_unique<CompositeStatisticsCollector>(
-              dataset->CompositeStatsKey(field_a, field_b),
-              opts.schema.field(index_a.value()).EffectiveDomain(),
-              opts.schema.field(index_b.value()).EffectiveDomain(),
-              opts.synopsis_budget, opts.sink));
-      dataset->composite_trees_.back()->AddListener(
-          dataset->composite_collectors_.back().get());
+    if (stats) {
+      attach(*tree, std::make_unique<CompositeStatisticsCollector>(
+                        dataset->CompositeStatsKey(field_a, field_b),
+                        opts.schema.field(*index_a).EffectiveDomain(),
+                        opts.schema.field(*index_b).EffectiveDomain(),
+                        opts.synopsis_budget, opts.sink));
     }
   }
 
@@ -211,12 +212,8 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
   const uint64_t total_mb = opts.total_memory_mb;
   if (total_mb > 0) {
     std::vector<LsmTree*> trees;
-    trees.push_back(dataset->primary_.get());
-    for (auto& secondary : dataset->secondaries_) {
-      trees.push_back(secondary.get());
-    }
-    for (auto& composite : dataset->composite_trees_) {
-      trees.push_back(composite.get());
+    for (const IndexTree& index : dataset->trees_) {
+      trees.push_back(index.tree.get());
     }
     // A 20 ms tick keeps adaptation fast relative to workload phase shifts
     // while the 64-call counter gate keeps the per-operation cost at one
@@ -264,13 +261,26 @@ StatusOr<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options) {
   return dataset;
 }
 
-LsmTree* Dataset::secondary(const std::string& field) {
-  for (size_t i = 0; i < indexed_fields_.size(); ++i) {
-    if (options_.schema.field(indexed_fields_[i]).name == field) {
-      return secondaries_[i].get();
+const Dataset::IndexTree* Dataset::FindIndex(IndexTree::Kind kind,
+                                             const std::string& field_a,
+                                             const std::string& field_b) const {
+  for (const IndexTree& index : trees_) {
+    if (index.kind != kind ||
+        options_.schema.field(index.field_a).name != field_a) {
+      continue;
     }
+    if (kind == IndexTree::Kind::kComposite &&
+        options_.schema.field(index.field_b).name != field_b) {
+      continue;
+    }
+    return &index;
   }
   return nullptr;
+}
+
+LsmTree* Dataset::secondary(const std::string& field) {
+  const IndexTree* index = FindIndex(IndexTree::Kind::kSecondary, field);
+  return index != nullptr ? index->tree.get() : nullptr;
 }
 
 StatisticsKey Dataset::StatsKey(const std::string& field) const {
@@ -285,22 +295,13 @@ StatisticsKey Dataset::CompositeStatsKey(const std::string& field_a,
 
 LsmTree* Dataset::composite(const std::string& field_a,
                             const std::string& field_b) {
-  for (size_t i = 0; i < composite_fields_.size(); ++i) {
-    if (options_.schema.field(composite_fields_[i].first).name == field_a &&
-        options_.schema.field(composite_fields_[i].second).name == field_b) {
-      return composite_trees_[i].get();
-    }
-  }
-  return nullptr;
+  const IndexTree* index =
+      FindIndex(IndexTree::Kind::kComposite, field_a, field_b);
+  return index != nullptr ? index->tree.get() : nullptr;
 }
 
 LsmTree* Dataset::TreeById(uint32_t tree_id) {
-  if (tree_id == 0) return primary_.get();
-  size_t index = tree_id - 1;
-  if (index < secondaries_.size()) return secondaries_[index].get();
-  index -= secondaries_.size();
-  if (index < composite_trees_.size()) return composite_trees_[index].get();
-  return nullptr;
+  return tree_id < trees_.size() ? trees_[tree_id].tree.get() : nullptr;
 }
 
 Status Dataset::LogShared(const WriteBatch& batch) {
@@ -358,10 +359,8 @@ void Dataset::RecordRotatedWal() {
   RotatedSegments group;
   group.segments = std::move(wal_sealed_);
   wal_sealed_.clear();
-  const size_t tree_count = 1 + secondaries_.size() + composite_trees_.size();
-  for (size_t id = 0; id < tree_count; ++id) {
-    group.flush_targets.push_back(
-        TreeById(static_cast<uint32_t>(id))->MemTablesRotated());
+  for (const IndexTree& index : trees_) {
+    group.flush_targets.push_back(index.tree->MemTablesRotated());
   }
   wal_rotated_.push_back(std::move(group));
 }
@@ -372,8 +371,7 @@ Status Dataset::ReclaimRotatedWal() {
     for (size_t id = 0; id < oldest.flush_targets.size(); ++id) {
       // Groups are oldest first, so a younger one cannot be flushed past
       // while this one is not.
-      if (TreeById(static_cast<uint32_t>(id))->FlushesCompleted() <
-          oldest.flush_targets[id]) {
+      if (trees_[id].tree->FlushesCompleted() < oldest.flush_targets[id]) {
         return Status::OK();
       }
     }
@@ -397,9 +395,9 @@ Status Dataset::MaybeFlush() {
   // an arbiter (the per-tree byte grant is meaningless otherwise, since the
   // dataset's trees run auto_flush=false and flush only through here).
   const bool full =
-      primary_->MemTableEntryCount() >= options_.memtable_max_entries ||
+      primary()->MemTableEntryCount() >= options_.memtable_max_entries ||
       (arbiter_ != nullptr &&
-       primary_->MemTableBytes() >= primary_->EffectiveMemTableMaxBytes());
+       primary()->MemTableBytes() >= primary()->EffectiveMemTableMaxBytes());
   if (!full) return Status::OK();
   if (options_.scheduler == nullptr) return Flush();
   // Scheduler mode: rotate every index and return to the writer; the worker
@@ -407,12 +405,8 @@ Status Dataset::MaybeFlush() {
   // segment is sealed with the memtables it backs; it becomes reclaimable
   // once every tree has rotated and the background flushes drain.
   LSMSTATS_RETURN_IF_ERROR(SealWal());
-  LSMSTATS_RETURN_IF_ERROR(primary_->RequestFlush());
-  for (auto& secondary : secondaries_) {
-    LSMSTATS_RETURN_IF_ERROR(secondary->RequestFlush());
-  }
-  for (auto& composite : composite_trees_) {
-    LSMSTATS_RETURN_IF_ERROR(composite->RequestFlush());
+  for (IndexTree& index : trees_) {
+    LSMSTATS_RETURN_IF_ERROR(index.tree->RequestFlush());
   }
   // Every tree rotated, so no mutable memtable holds a record of a sealed
   // segment any more.
@@ -425,7 +419,7 @@ Status Dataset::Insert(const Record& record) {
     return Status::InvalidArgument("record does not match schema");
   }
   std::string existing;
-  Status lookup = primary_->Get(PrimaryKey(record.pk), &existing);
+  Status lookup = primary()->Get(PrimaryKey(record.pk), &existing);
   if (lookup.ok()) {
     return Status::AlreadyExists("pk " + std::to_string(record.pk));
   }
@@ -437,25 +431,16 @@ Status Dataset::Insert(const Record& record) {
   return MaybeFlush();
 }
 
-// Entries for inserting `record` into every index, in the order the trees
-// are maintained (primary, secondaries, composites — tree-id order).
+// Entries for inserting `record` into every index, in tree-id order. The
+// primary holds the record; every other index holds only its key.
 void Dataset::AppendInsertEntries(const Record& record,
                                   WriteBatch* batch) const {
   Encoder enc;
   EncodeRecordValue(record, &enc);
-  batch->Put(PrimaryKey(record.pk), enc.Release(), /*fresh_insert=*/true,
+  batch->Put(trees_[0].KeyOf(record), enc.Release(), /*fresh_insert=*/true,
              /*tree_id=*/0);
-  for (size_t i = 0; i < indexed_fields_.size(); ++i) {
-    int64_t sk = record.fields[indexed_fields_[i]];
-    batch->Put(SecondaryKey(sk, record.pk), "", /*fresh_insert=*/true,
-               static_cast<uint32_t>(1 + i));
-  }
-  for (size_t i = 0; i < composite_fields_.size(); ++i) {
-    batch->Put(CompositeKey(record.fields[composite_fields_[i].first],
-                            record.fields[composite_fields_[i].second],
-                            record.pk),
-               "", /*fresh_insert=*/true,
-               static_cast<uint32_t>(1 + indexed_fields_.size() + i));
+  for (uint32_t id = 1; id < trees_.size(); ++id) {
+    batch->Put(trees_[id].KeyOf(record), "", /*fresh_insert=*/true, id);
   }
 }
 
@@ -463,17 +448,8 @@ void Dataset::AppendInsertEntries(const Record& record,
 // entry may live in older components; the trees decide via their memtables).
 void Dataset::AppendDeleteEntries(const Record& old_record,
                                   WriteBatch* batch) const {
-  batch->Delete(PrimaryKey(old_record.pk), /*tree_id=*/0);
-  for (size_t i = 0; i < indexed_fields_.size(); ++i) {
-    int64_t sk = old_record.fields[indexed_fields_[i]];
-    batch->Delete(SecondaryKey(sk, old_record.pk),
-                  static_cast<uint32_t>(1 + i));
-  }
-  for (size_t i = 0; i < composite_fields_.size(); ++i) {
-    batch->Delete(CompositeKey(old_record.fields[composite_fields_[i].first],
-                               old_record.fields[composite_fields_[i].second],
-                               old_record.pk),
-                  static_cast<uint32_t>(1 + indexed_fields_.size() + i));
+  for (uint32_t id = 0; id < trees_.size(); ++id) {
+    batch->Delete(trees_[id].KeyOf(old_record), id);
   }
 }
 
@@ -490,30 +466,17 @@ Status Dataset::Update(const Record& record) {
   WriteBatch batch;
   // The primary index needs no anti-matter for an update: the newer version
   // shadows the older one and they reconcile at merge time (Appendix A).
-  batch.Put(PrimaryKey(record.pk), enc.Release(), /*fresh_insert=*/false,
+  batch.Put(trees_[0].KeyOf(record), enc.Release(), /*fresh_insert=*/false,
             /*tree_id=*/0);
-  // Secondary indexes key on <SK, PK>, so a changed SK needs an anti-matter
-  // entry for the old pair plus a regular entry for the new one.
-  for (size_t i = 0; i < indexed_fields_.size(); ++i) {
-    int64_t old_sk = old_record.fields[indexed_fields_[i]];
-    int64_t new_sk = record.fields[indexed_fields_[i]];
-    if (old_sk == new_sk) continue;
-    const auto tree_id = static_cast<uint32_t>(1 + i);
-    batch.Delete(SecondaryKey(old_sk, record.pk), tree_id);
-    batch.Put(SecondaryKey(new_sk, record.pk), "", /*fresh_insert=*/true,
-              tree_id);
-  }
-  for (size_t i = 0; i < composite_fields_.size(); ++i) {
-    int64_t old_a = old_record.fields[composite_fields_[i].first];
-    int64_t old_b = old_record.fields[composite_fields_[i].second];
-    int64_t new_a = record.fields[composite_fields_[i].first];
-    int64_t new_b = record.fields[composite_fields_[i].second];
-    if (old_a == new_a && old_b == new_b) continue;
-    const auto tree_id =
-        static_cast<uint32_t>(1 + indexed_fields_.size() + i);
-    batch.Delete(CompositeKey(old_a, old_b, record.pk), tree_id);
-    batch.Put(CompositeKey(new_a, new_b, record.pk), "",
-              /*fresh_insert=*/true, tree_id);
+  // The other indexes key on their fields plus the PK, so a changed key
+  // needs an anti-matter entry for the old one plus a regular entry for the
+  // new one.
+  for (uint32_t id = 1; id < trees_.size(); ++id) {
+    const LsmKey old_key = trees_[id].KeyOf(old_record);
+    const LsmKey new_key = trees_[id].KeyOf(record);
+    if (old_key == new_key) continue;
+    batch.Delete(old_key, id);
+    batch.Put(new_key, "", /*fresh_insert=*/true, id);
   }
   LSMSTATS_RETURN_IF_ERROR(CommitMutation(std::move(batch)));
   return MaybeFlush();
@@ -544,7 +507,7 @@ Status Dataset::PutBatch(const std::vector<Record>& records) {
                                      std::to_string(record.pk));
     }
     std::string existing;
-    Status lookup = primary_->Get(PrimaryKey(record.pk), &existing);
+    Status lookup = primary()->Get(PrimaryKey(record.pk), &existing);
     if (lookup.ok()) {
       return Status::AlreadyExists("pk " + std::to_string(record.pk));
     }
@@ -589,56 +552,40 @@ Status Dataset::Upsert(const Record& record) {
 }
 
 Status Dataset::Load(std::vector<Record> records) {
-  if (!std::is_sorted(records.begin(), records.end(),
-                      [](const Record& a, const Record& b) {
-                        return a.pk < b.pk;
-                      })) {
-    return Status::InvalidArgument("bulkload input must be sorted by pk");
+  // Validate everything before applying anything: a rejected input must
+  // leave every index as it was, and healthy.
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].fields.size() != options_.schema.field_count()) {
+      return Status::InvalidArgument("record does not match schema");
+    }
+    if (i > 0 && records[i - 1].pk >= records[i].pk) {
+      return Status::InvalidArgument(
+          "bulkload input must be sorted by pk without duplicates, at pk " +
+          std::to_string(records[i].pk));
+    }
   }
-  // Primary component.
-  {
+  for (uint32_t id = 0; id < trees_.size(); ++id) {
     std::vector<Entry> entries;
     entries.reserve(records.size());
     for (const Record& record : records) {
-      Encoder enc;
-      EncodeRecordValue(record, &enc);
-      entries.push_back({PrimaryKey(record.pk), enc.Release(), false});
+      std::string value;
+      if (id == 0) {
+        Encoder enc;
+        EncodeRecordValue(record, &enc);
+        value = enc.Release();
+      }
+      entries.push_back({trees_[id].KeyOf(record), std::move(value), false});
+    }
+    // The primary's keys arrive in pk order. Every other index sorts its
+    // keys, as the sort operator at the bottom of AsterixDB's bulkload plan
+    // would (§3.2).
+    if (id != 0) {
+      std::sort(entries.begin(), entries.end(),
+                [](const Entry& a, const Entry& b) { return a.key < b.key; });
     }
     VectorEntryCursor cursor(std::move(entries));
     LSMSTATS_RETURN_IF_ERROR(
-        primary_->Bulkload(&cursor, records.size()));
-  }
-  // Secondary components: sort <SK, PK> pairs per index, as the sort
-  // operator at the bottom of AsterixDB's bulkload plan would (§3.2).
-  for (size_t i = 0; i < indexed_fields_.size(); ++i) {
-    size_t field_index = indexed_fields_[i];
-    std::vector<Entry> entries;
-    entries.reserve(records.size());
-    for (const Record& record : records) {
-      entries.push_back(
-          {SecondaryKey(record.fields[field_index], record.pk), "", false});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.key < b.key; });
-    VectorEntryCursor cursor(std::move(entries));
-    LSMSTATS_RETURN_IF_ERROR(
-        secondaries_[i]->Bulkload(&cursor, records.size()));
-  }
-  for (size_t i = 0; i < composite_fields_.size(); ++i) {
-    std::vector<Entry> entries;
-    entries.reserve(records.size());
-    for (const Record& record : records) {
-      entries.push_back(
-          {CompositeKey(record.fields[composite_fields_[i].first],
-                        record.fields[composite_fields_[i].second],
-                        record.pk),
-           "", false});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.key < b.key; });
-    VectorEntryCursor cursor(std::move(entries));
-    LSMSTATS_RETURN_IF_ERROR(
-        composite_trees_[i]->Bulkload(&cursor, records.size()));
+        trees_[id].tree->Bulkload(&cursor, records.size()));
   }
   live_records_ += records.size();
   return Status::OK();
@@ -649,7 +596,7 @@ StatusOr<Record> Dataset::Get(int64_t pk) const {
   // (e.g. growing the block cache at the memtables' expense).
   if (arbiter_ != nullptr) arbiter_->MaybeTick();
   std::string value;
-  LSMSTATS_RETURN_IF_ERROR(primary_->Get(PrimaryKey(pk), &value));
+  LSMSTATS_RETURN_IF_ERROR(primary()->Get(PrimaryKey(pk), &value));
   Record record;
   record.pk = pk;
   LSMSTATS_RETURN_IF_ERROR(
@@ -659,45 +606,44 @@ StatusOr<Record> Dataset::Get(int64_t pk) const {
 
 StatusOr<uint64_t> Dataset::CountRange(const std::string& field, int64_t lo,
                                        int64_t hi) const {
-  for (size_t i = 0; i < indexed_fields_.size(); ++i) {
-    if (options_.schema.field(indexed_fields_[i]).name != field) continue;
-    return secondaries_[i]->ScanCount(
-        SecondaryKey(lo, std::numeric_limits<int64_t>::min()),
-        SecondaryKey(hi, std::numeric_limits<int64_t>::max()));
+  const IndexTree* index = FindIndex(IndexTree::Kind::kSecondary, field);
+  if (index == nullptr) {
+    return Status::NotFound("no secondary index on field " + field);
   }
-  return Status::NotFound("no secondary index on field " + field);
+  return index->tree->ScanCount(
+      SecondaryKey(lo, std::numeric_limits<int64_t>::min()),
+      SecondaryKey(hi, std::numeric_limits<int64_t>::max()));
 }
 
 StatusOr<uint64_t> Dataset::CountRange2D(const std::string& field_a,
                                          const std::string& field_b,
                                          int64_t lo0, int64_t hi0,
                                          int64_t lo1, int64_t hi1) const {
-  for (size_t i = 0; i < composite_fields_.size(); ++i) {
-    if (options_.schema.field(composite_fields_[i].first).name != field_a ||
-        options_.schema.field(composite_fields_[i].second).name != field_b) {
-      continue;
-    }
-    // The tree orders by k0 first, so [lo0, hi0] bounds the cursor and the
-    // k1 filter runs inline in the counting loop.
-    MergeCursor merged = composite_trees_[i]->NewRangeCursor(
-        CompositeKey(lo0, std::numeric_limits<int64_t>::min(),
-                     std::numeric_limits<int64_t>::min()),
-        CompositeKey(hi0, std::numeric_limits<int64_t>::max(),
-                     std::numeric_limits<int64_t>::max()),
-        /*keys_only=*/true);
-    uint64_t count = 0;
-    for (; merged.Valid(); merged.Next()) {
-      const int64_t k1 = merged.entry().key.k1;
-      if (k1 >= lo1 && k1 <= hi1) ++count;
-    }
-    LSMSTATS_RETURN_IF_ERROR(merged.status());
-    return count;
+  const IndexTree* index =
+      FindIndex(IndexTree::Kind::kComposite, field_a, field_b);
+  if (index == nullptr) {
+    return Status::NotFound("no composite index on " + field_a + "+" +
+                            field_b);
   }
-  return Status::NotFound("no composite index on " + field_a + "+" + field_b);
+  // The tree orders by k0 first, so [lo0, hi0] bounds the cursor and the k1
+  // filter runs inline in the counting loop.
+  MergeCursor merged = index->tree->NewRangeCursor(
+      CompositeKey(lo0, std::numeric_limits<int64_t>::min(),
+                   std::numeric_limits<int64_t>::min()),
+      CompositeKey(hi0, std::numeric_limits<int64_t>::max(),
+                   std::numeric_limits<int64_t>::max()),
+      /*keys_only=*/true);
+  uint64_t count = 0;
+  for (; merged.Valid(); merged.Next()) {
+    const int64_t k1 = merged.entry().key.k1;
+    if (k1 >= lo1 && k1 <= hi1) ++count;
+  }
+  LSMSTATS_RETURN_IF_ERROR(merged.status());
+  return count;
 }
 
 StatusOr<uint64_t> Dataset::CountAll() const {
-  return primary_->ScanCount(
+  return primary()->ScanCount(
       PrimaryKey(std::numeric_limits<int64_t>::min()),
       PrimaryKey(std::numeric_limits<int64_t>::max()));
 }
@@ -709,20 +655,12 @@ Status Dataset::Flush() {
   if (options_.scheduler != nullptr) {
     // Kick every index's rotation first so the flushes overlap on the
     // worker pool; the drains below then mostly wait instead of working.
-    LSMSTATS_RETURN_IF_ERROR(primary_->RequestFlush());
-    for (auto& secondary : secondaries_) {
-      LSMSTATS_RETURN_IF_ERROR(secondary->RequestFlush());
-    }
-    for (auto& composite : composite_trees_) {
-      LSMSTATS_RETURN_IF_ERROR(composite->RequestFlush());
+    for (IndexTree& index : trees_) {
+      LSMSTATS_RETURN_IF_ERROR(index.tree->RequestFlush());
     }
   }
-  LSMSTATS_RETURN_IF_ERROR(primary_->Flush());
-  for (auto& secondary : secondaries_) {
-    LSMSTATS_RETURN_IF_ERROR(secondary->Flush());
-  }
-  for (auto& composite : composite_trees_) {
-    LSMSTATS_RETURN_IF_ERROR(composite->Flush());
+  for (IndexTree& index : trees_) {
+    LSMSTATS_RETURN_IF_ERROR(index.tree->Flush());
   }
   // Every tree has now flushed everything the sealed segments back, so the
   // group recorded here is reclaimed at once.
@@ -731,12 +669,8 @@ Status Dataset::Flush() {
 }
 
 Status Dataset::WaitForBackgroundWork() {
-  LSMSTATS_RETURN_IF_ERROR(primary_->WaitForBackgroundWork());
-  for (auto& secondary : secondaries_) {
-    LSMSTATS_RETURN_IF_ERROR(secondary->WaitForBackgroundWork());
-  }
-  for (auto& composite : composite_trees_) {
-    LSMSTATS_RETURN_IF_ERROR(composite->WaitForBackgroundWork());
+  for (IndexTree& index : trees_) {
+    LSMSTATS_RETURN_IF_ERROR(index.tree->WaitForBackgroundWork());
   }
   // With the background queues drained, every tree has flushed every
   // rotation it made, unless a flush failed and parked the tree.
@@ -744,51 +678,40 @@ Status Dataset::WaitForBackgroundWork() {
 }
 
 Status Dataset::CheckWritable() const {
-  auto gate = [this](const LsmTree& tree) {
+  for (const IndexTree& index : trees_) {
+    const LsmTree& tree = *index.tree;
     Status s = tree.BackgroundError();
-    if (s.ok()) return s;
+    if (s.ok()) continue;
     return Status(s.code(), "dataset " + options_.name +
                                 " rejecting writes: index " +
                                 tree.options().name + " is " +
                                 TreeModeToString(tree.Health().mode) + ": " +
                                 s.message());
-  };
-  LSMSTATS_RETURN_IF_ERROR(gate(*primary_));
-  for (const auto& secondary : secondaries_) {
-    LSMSTATS_RETURN_IF_ERROR(gate(*secondary));
-  }
-  for (const auto& composite : composite_trees_) {
-    LSMSTATS_RETURN_IF_ERROR(gate(*composite));
   }
   return Status::OK();
 }
 
 DatasetHealth Dataset::Health() const {
   DatasetHealth health;
-  auto add = [&health](const LsmTree& tree) {
-    HealthSnapshot snapshot = tree.Health();
+  for (const IndexTree& index : trees_) {
+    HealthSnapshot snapshot = index.tree->Health();
     if (snapshot.mode == TreeMode::kRecovering) ++health.recovering_trees;
     if (snapshot.mode == TreeMode::kReadOnly) ++health.degraded_trees;
     // TreeMode orders by severity, so "worst wins" is a plain max.
     if (snapshot.mode > health.mode) health.mode = snapshot.mode;
-    health.trees.emplace_back(tree.options().name, std::move(snapshot));
-  };
-  add(*primary_);
-  for (const auto& secondary : secondaries_) add(*secondary);
-  for (const auto& composite : composite_trees_) add(*composite);
+    health.trees.emplace_back(index.tree->options().name, std::move(snapshot));
+  }
   health.wal_quarantined_files = wal_quarantined_;
   return health;
 }
 
 Status Dataset::Resume() {
+  // Every tree gets its attempt, even after a failure.
   Status first;
-  auto resume = [&first](LsmTree& tree) {
-    Status s = tree.Resume();
+  for (IndexTree& index : trees_) {
+    Status s = index.tree->Resume();
     if (!s.ok() && first.ok()) first = std::move(s);
-  };
-  resume(*primary_);
-  for (auto& secondary : secondaries_) resume(*secondary);
-  for (auto& composite : composite_trees_) resume(*composite);
+  }
   return first;
 }
 
@@ -801,12 +724,8 @@ uint64_t Dataset::WalRecordsLogged() const {
 }
 
 Status Dataset::ForceFullMerge() {
-  LSMSTATS_RETURN_IF_ERROR(primary_->ForceFullMerge());
-  for (auto& secondary : secondaries_) {
-    LSMSTATS_RETURN_IF_ERROR(secondary->ForceFullMerge());
-  }
-  for (auto& composite : composite_trees_) {
-    LSMSTATS_RETURN_IF_ERROR(composite->ForceFullMerge());
+  for (IndexTree& index : trees_) {
+    LSMSTATS_RETURN_IF_ERROR(index.tree->ForceFullMerge());
   }
   return Status::OK();
 }

@@ -17,6 +17,14 @@
 // one "flush" of the dataset produces one component (and one synopsis) per
 // index — matching how the paper's prototype ties statistics to dataset
 // lifecycle events.
+//
+// The dataset keeps its index trees in one list in tree-id order: 0 is the
+// primary, then one secondary per indexed field (schema order), then one
+// composite per DatasetOptions::composite_indexes entry. Each entry carries
+// its key rule — PrimaryKey(pk), <SK, PK> or <SK1, SK2, PK> — so insert,
+// delete, update and bulkload all derive every index's entries from that one
+// rule, and every per-index operation (flush, merge, health, resume, WAL
+// routing by tree id) is one loop over the list.
 
 #ifndef LSMSTATS_DB_DATASET_H_
 #define LSMSTATS_DB_DATASET_H_
@@ -34,8 +42,6 @@
 #include "lsm/wal.h"
 #include "lsm/write_batch.h"
 #include "stats/statistics_collector.h"
-#include "stats/composite_collector.h"
-#include "stats/unsorted_field_collector.h"
 #include "synopsis/builder.h"
 
 namespace lsmstats {
@@ -165,6 +171,9 @@ class Dataset {
 
   // Bulkloads `records` (sorted by pk, duplicate-free) into empty indexes:
   // the bottom-up path that produces a single component per index (§4.2).
+  // Input whose pks are not strictly increasing, or whose records do not
+  // match the schema, is rejected with InvalidArgument before any index is
+  // touched.
   [[nodiscard]] Status Load(std::vector<Record> records);
 
   // --- Reads ---------------------------------------------------------------
@@ -207,8 +216,8 @@ class Dataset {
 
   const Schema& schema() const { return options_.schema; }
   const DatasetOptions& options() const { return options_; }
-  LsmTree* primary() { return primary_.get(); }
-  const LsmTree* primary() const { return primary_.get(); }
+  LsmTree* primary() { return trees_.front().tree.get(); }
+  const LsmTree* primary() const { return trees_.front().tree.get(); }
   LsmTree* secondary(const std::string& field);
   LsmTree* composite(const std::string& field_a, const std::string& field_b);
   // The shared block cache (null when none configured); stats expose the
@@ -252,13 +261,32 @@ class Dataset {
   uint64_t WalRecordsLogged() const;
 
  private:
+  // One index tree and the rule that keys a record into it.
+  struct IndexTree {
+    enum class Kind { kPrimary, kSecondary, kComposite };
+    Kind kind = Kind::kPrimary;
+    // Schema field indices: a secondary keys on `field_a`, a composite on
+    // `field_a` then `field_b`; the primary uses neither.
+    size_t field_a = 0;
+    size_t field_b = 0;
+    std::unique_ptr<LsmTree> tree;
+
+    // PrimaryKey(pk), <SK, PK> or <SK1, SK2, PK>, by kind.
+    LsmKey KeyOf(const Record& record) const;
+  };
+
   explicit Dataset(DatasetOptions options);
 
   [[nodiscard]] Status MaybeFlush();
 
-  // Index tree addressed by a WriteBatchEntry tree id (0 = primary, then
-  // secondaries, then composites, in schema order); null if out of range.
+  // Index tree addressed by a WriteBatchEntry tree id (its position in
+  // trees_); null if out of range.
   LsmTree* TreeById(uint32_t tree_id);
+
+  // The index of `kind` on the schema fields named `field_a` (and `field_b`
+  // for a composite); null when there is none.
+  const IndexTree* FindIndex(IndexTree::Kind kind, const std::string& field_a,
+                             const std::string& field_b = {}) const;
 
   // Logs `batch` to the shared WAL as one atomic frame, durable per the sync
   // mode on return. No-op when the WAL is off or the batch is empty. Called
@@ -271,7 +299,7 @@ class Dataset {
   [[nodiscard]] Status ApplyEntry(WriteBatchEntry& entry);
 
   // Append the per-index entries of one logical insert/delete to `batch`,
-  // in tree-id order (primary, secondaries, composites).
+  // in tree-id order.
   void AppendInsertEntries(const Record& record, WriteBatch* batch) const;
   void AppendDeleteEntries(const Record& old_record, WriteBatch* batch) const;
 
@@ -307,18 +335,12 @@ class Dataset {
 
   DatasetOptions options_;
   Env* env_ = nullptr;  // options_.env or Env::Default(); never null
-  std::unique_ptr<LsmTree> primary_;
-  // One per indexed field, schema order.
-  std::vector<size_t> indexed_fields_;
-  std::vector<std::unique_ptr<LsmTree>> secondaries_;
-  std::vector<std::unique_ptr<StatisticsCollector>> collectors_;
-  // One per composite index, schema-field-index pairs aligned with
-  // composite_trees_.
-  std::vector<std::pair<size_t, size_t>> composite_fields_;
-  std::vector<std::unique_ptr<LsmTree>> composite_trees_;
-  std::vector<std::unique_ptr<CompositeStatisticsCollector>>
-      composite_collectors_;
-  std::unique_ptr<UnsortedFieldCollector> unsorted_collector_;
+  // Every index tree, in tree-id order (see the file comment); the primary
+  // is always trees_[0].
+  std::vector<IndexTree> trees_;
+  // The statistics collectors the trees notify, of every kind. Outlive the
+  // trees: ~Dataset destroys the trees first.
+  std::vector<std::unique_ptr<LsmEventListener>> collectors_;
   uint64_t live_records_ = 0;
 
   // The dataset's WAL, shared by every index tree (null when the WAL is

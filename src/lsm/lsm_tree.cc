@@ -441,88 +441,133 @@ StatusOr<uint64_t> LsmTree::ScanCount(const LsmKey& lo,
   return count;
 }
 
-Status LsmTree::WriteComponent(
-    const OperationContext& context, EntryCursor* input,
-    const std::vector<uint64_t>& replaced_ids,
-    const std::function<void(std::shared_ptr<DiskComponent>)>& install,
-    std::shared_ptr<DiskComponent>* out) {
+template <typename Cursor>
+Status LsmTree::BuildComponents(const OperationContext& context,
+                                Cursor* input, uint64_t split_bytes,
+                                ManifestPendingMerge* pending,
+                                std::vector<SealedOutput>* outputs) {
   // Caller holds work_mu_, so listeners see one operation at a time and the
   // component stack cannot be restructured underneath us; mu_ is only taken
-  // for the reader-visible splice and the id/clock counters.
-  std::vector<std::unique_ptr<ComponentWriteObserver>> observers;
-  for (LsmEventListener* listener : listeners_) {
-    auto observer = listener->OnOperationBegin(context);
-    if (observer) observers.push_back(std::move(observer));
-  }
-
-  uint64_t id;
-  {
-    MutexLock lock(&mu_);
-    id = next_component_id_++;
-  }
-  // An arbiter bloom grant (0 = none) overrides the configured density for
-  // components built from here on; serialization is size-independent, so the
-  // on-disk format is unchanged.
-  ComponentWriteOptions effective_options = options_.write_options;
-  const int bloom_bits = bloom_bits_override_.load(std::memory_order_relaxed);
-  if (bloom_bits != 0) effective_options.bloom_bits_per_key = bloom_bits;
-  DiskComponentBuilder builder(env_, ComponentPath(id),
-                               context.expected_records, effective_options,
-                               DiskComponentReadOptions{options_.block_cache});
-  while (input->Valid()) {
-    const EntryView& entry = input->entry();
-    Status s = builder.Add(entry);
-    if (!s.ok()) {
-      builder.Abandon();
-      return s;
+  // for the id/clock counters.
+  LSMSTATS_RETURN_IF_ERROR(input->status());
+  // Unwinds sealed-but-uninstalled outputs on failure; the stack is
+  // untouched, so retrying is safe. Deletion is best effort: a merge's
+  // leftover file is listed in the manifest's pending record, so the next
+  // commit or the next recovery disposes of it.
+  auto unwind = [this, outputs](Status s) -> Status {
+    for (SealedOutput& output : *outputs) {
+      output.component->EvictCachedBlocks();
+      Status removed = output.component->DeleteFile();
+      if (!removed.ok()) {
+        LSMSTATS_LOG(kWarning)
+            << options_.name << ": could not remove abandoned output: "
+            << removed.ToString();
+      }
     }
-    for (auto& observer : observers) observer->OnEntryView(entry);
-    input->Next();
-  }
-  if (!input->status().ok()) {
-    builder.Abandon();
-    return input->status();
-  }
-  if (builder.entries_added() == 0) {
-    // A merge can reconcile everything away; represent that as "no new
-    // component" rather than an empty file.
-    builder.Abandon();
-    *out = nullptr;
-    ComponentMetadata empty;
-    empty.id = id;
+    outputs->clear();
+    return s;
+  };
+
+  uint64_t consumed_records = 0;
+  uint64_t consumed_anti = 0;
+  do {
+    SealedOutput output;
+    // Still an upper bound for THIS output: whatever the input held minus
+    // what earlier outputs already took.
+    OperationContext output_context = context;
+    output_context.expected_records -=
+        std::min(output_context.expected_records, consumed_records);
+    output_context.expected_anti_matter -=
+        std::min(output_context.expected_anti_matter, consumed_anti);
+    for (LsmEventListener* listener : listeners_) {
+      auto observer = listener->OnOperationBegin(output_context);
+      if (observer) output.observers.push_back(std::move(observer));
+    }
+    uint64_t id;
     {
       MutexLock lock(&mu_);
-      empty.timestamp = logical_clock_++;
-      install(nullptr);
+      id = next_component_id_++;
     }
-    for (auto& observer : observers) {
-      observer->OnComponentSealed(empty, replaced_ids);
+    if (!input->Valid()) {
+      // An empty stream (a merge can reconcile everything away): no new
+      // component rather than an empty file, but the operation still seals,
+      // with empty metadata, and keeps the id it took.
+      output.metadata.id = id;
+      output.metadata.level = context.target_level;
+      {
+        MutexLock lock(&mu_);
+        output.metadata.timestamp = logical_clock_++;
+      }
+      outputs->push_back(std::move(output));
+      return Status::OK();
     }
-    return Status::OK();
-  }
-
-  uint64_t timestamp;
-  {
-    MutexLock lock(&mu_);
-    timestamp = logical_clock_++;
-  }
-  auto component_or = builder.Finish(id, timestamp, context.target_level);
-  LSMSTATS_RETURN_IF_ERROR(component_or.status());
-  *out = std::move(component_or).value();
-  {
-    MutexLock lock(&mu_);
-    install(*out);
-  }
-  for (auto& observer : observers) {
-    observer->OnComponentSealed((*out)->metadata(), replaced_ids);
-  }
-  LSMSTATS_LOG(kDebug) << options_.name << ": "
-                       << LsmOperationToString(context.op) << " sealed "
-                       << (*out)->metadata().record_count << " entries ("
-                       << (*out)->metadata().anti_matter_count
-                       << " anti-matter) as component "
-                       << (*out)->metadata().id;
+    if (pending != nullptr) {
+      // Record the output id before its file can exist.
+      pending->output_ids.push_back(id);
+      Status persisted = PersistManifest(*pending);
+      if (!persisted.ok()) return unwind(std::move(persisted));
+    }
+    // An arbiter bloom grant (0 = none) overrides the configured density for
+    // components built from here on; serialization is size-independent, so
+    // the on-disk format is unchanged.
+    ComponentWriteOptions write_options = options_.write_options;
+    const int bloom_bits =
+        bloom_bits_override_.load(std::memory_order_relaxed);
+    if (bloom_bits != 0) write_options.bloom_bits_per_key = bloom_bits;
+    DiskComponentBuilder builder(
+        env_, ComponentPath(id), output_context.expected_records,
+        write_options, DiskComponentReadOptions{options_.block_cache});
+    uint64_t approx_bytes = 0;
+    do {
+      const EntryView& entry = input->entry();
+      Status s = builder.Add(entry);
+      if (!s.ok()) {
+        builder.Abandon();
+        return unwind(std::move(s));
+      }
+      for (auto& observer : output.observers) observer->OnEntryView(entry);
+      approx_bytes += entry.value.size() + 32;  // key + framing estimate
+      input->Next();
+      // A split lands on a key boundary; the next output continues here.
+    } while (input->Valid() &&
+             (split_bytes == 0 || approx_bytes < split_bytes));
+    if (!input->status().ok()) {
+      builder.Abandon();
+      return unwind(input->status());
+    }
+    uint64_t timestamp;
+    {
+      MutexLock lock(&mu_);
+      timestamp = logical_clock_++;
+    }
+    auto component_or = builder.Finish(id, timestamp, context.target_level);
+    if (!component_or.ok()) return unwind(component_or.status());
+    output.component = std::move(component_or).value();
+    output.metadata = output.component->metadata();
+    // record_count includes the anti-matter entries.
+    consumed_anti += output.metadata.anti_matter_count;
+    consumed_records +=
+        output.metadata.record_count - output.metadata.anti_matter_count;
+    LSMSTATS_LOG(kDebug) << options_.name << ": "
+                         << LsmOperationToString(context.op) << " sealed "
+                         << output.metadata.record_count << " entries ("
+                         << output.metadata.anti_matter_count
+                         << " anti-matter) as component " << id
+                         << " at level " << context.target_level;
+    outputs->push_back(std::move(output));
+  } while (input->Valid());
   return Status::OK();
+}
+
+void LsmTree::NotifySealed(const std::vector<SealedOutput>& outputs,
+                           const std::vector<uint64_t>& replaced_ids) {
+  const std::vector<uint64_t> none;
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    for (const auto& observer : outputs[i].observers) {
+      observer->OnComponentSealed(outputs[i].metadata,
+                                  i == 0 ? replaced_ids : none);
+    }
+  }
 }
 
 Status LsmTree::FlushOneImmutable() {
@@ -546,20 +591,22 @@ Status LsmTree::FlushOneImmutable() {
   // The victim is frozen, so the flush reads it in place.
   std::unique_ptr<EntryCursor> cursor = MemTable::NewFrozenCursor(victim);
 
-  std::shared_ptr<DiskComponent> component;
-  LSMSTATS_RETURN_IF_ERROR(WriteComponent(
-      context, cursor.get(), {},
-      [this](std::shared_ptr<DiskComponent> sealed) {
-        mu_.AssertHeld();  // WriteComponent invokes install under mu_
-        // A rotated memtable is never empty, so a flush always seals a
-        // component; swap it in and retire the memtable in one step so
-        // readers never see the data twice or not at all.
-        components_.insert(components_.begin(), std::move(sealed));
-        immutables_.pop_front();
-        flushes_completed_.fetch_add(1, std::memory_order_release);
-        cv_.NotifyAll();
-      },
-      &component));
+  std::vector<SealedOutput> outputs;
+  LSMSTATS_RETURN_IF_ERROR(BuildComponents(context, cursor.get(),
+                                           /*split_bytes=*/0,
+                                           /*pending=*/nullptr, &outputs));
+  {
+    MutexLock lock(&mu_);
+    // A rotated memtable is never empty, so a flush always seals a
+    // component; swap it in and retire the memtable in one step so readers
+    // never see the data twice or not at all.
+    LSMSTATS_CHECK(outputs.size() == 1 && outputs.front().component);
+    components_.insert(components_.begin(), outputs.front().component);
+    immutables_.pop_front();
+    flushes_completed_.fetch_add(1, std::memory_order_release);
+    cv_.NotifyAll();
+  }
+  NotifySealed(outputs, {});
   return Status::OK();
 }
 
@@ -1187,176 +1234,42 @@ Status LsmTree::ExecuteMergePlan(
     inputs.push_back(component->NewCursor());
   }
   MergeCursor merged(std::move(inputs), resolved.drop_anti_matter);
-
-  struct SealedOutput {
-    std::shared_ptr<DiskComponent> component;
-    std::vector<std::unique_ptr<ComponentWriteObserver>> observers;
-  };
   std::vector<SealedOutput> outputs;
-  // Unwinds sealed-but-uninstalled outputs on failure; the stack is
-  // untouched, so retrying the same plan is safe. Deletion is best effort: a
-  // leftover file is listed in the manifest's pending record, so the next
-  // commit or the next recovery disposes of it.
-  auto unwind = [&](Status s) -> Status {
-    for (SealedOutput& output : outputs) {
-      output.component->EvictCachedBlocks();
-      Status removed = output.component->DeleteFile();
-      if (!removed.ok()) {
-        LSMSTATS_LOG(kWarning)
-            << options_.name << ": could not remove abandoned merge output: "
-            << removed.ToString();
-      }
-    }
-    return s;
-  };
-
-  uint64_t consumed_records = 0;
-  uint64_t consumed_anti = 0;
-  while (merged.Valid()) {
-    OperationContext context = resolved.context;
-    // Still an upper bound for THIS output: whatever the inputs held minus
-    // what earlier outputs already took.
-    context.expected_records -=
-        std::min(context.expected_records, consumed_records);
-    context.expected_anti_matter -=
-        std::min(context.expected_anti_matter, consumed_anti);
-    std::vector<std::unique_ptr<ComponentWriteObserver>> observers;
-    for (LsmEventListener* listener : listeners_) {
-      auto observer = listener->OnOperationBegin(context);
-      if (observer) observers.push_back(std::move(observer));
-    }
-    uint64_t id;
-    {
-      MutexLock lock(&mu_);
-      id = next_component_id_++;
-    }
-    // Record the output id before its file can exist.
-    pending.output_ids.push_back(id);
-    Status persisted = PersistManifest(pending);
-    if (!persisted.ok()) return unwind(std::move(persisted));
-
-    // Same bloom-grant override as WriteComponent: merge outputs built after
-    // a rebalance use the granted density.
-    ComponentWriteOptions effective_options = options_.write_options;
-    const int bloom_bits =
-        bloom_bits_override_.load(std::memory_order_relaxed);
-    if (bloom_bits != 0) effective_options.bloom_bits_per_key = bloom_bits;
-    DiskComponentBuilder builder(
-        env_, ComponentPath(id), context.expected_records, effective_options,
-        DiskComponentReadOptions{options_.block_cache});
-    uint64_t approx_bytes = 0;
-    while (merged.Valid()) {
-      const EntryView& entry = merged.entry();
-      Status s = builder.Add(entry);
-      if (!s.ok()) {
-        builder.Abandon();
-        return unwind(std::move(s));
-      }
-      for (auto& observer : observers) observer->OnEntryView(entry);
-      if (entry.anti_matter) {
-        ++consumed_anti;
-      } else {
-        ++consumed_records;
-      }
-      approx_bytes += entry.value.size() + 32;  // key + framing estimate
-      merged.Next();
-      if (plan.output_split_bytes > 0 &&
-          approx_bytes >= plan.output_split_bytes && merged.Valid()) {
-        break;  // split at a key boundary; the next output continues here
-      }
-    }
-    if (!merged.status().ok()) {
-      builder.Abandon();
-      return unwind(merged.status());
-    }
-    uint64_t timestamp;
-    {
-      MutexLock lock(&mu_);
-      timestamp = logical_clock_++;
-    }
-    auto component_or = builder.Finish(id, timestamp, plan.target_level);
-    if (!component_or.ok()) return unwind(component_or.status());
-    outputs.push_back(
-        SealedOutput{std::move(component_or).value(), std::move(observers)});
-  }
-  // Covers a cursor that went invalid before the first output started.
-  if (!merged.status().ok()) return unwind(merged.status());
+  LSMSTATS_RETURN_IF_ERROR(BuildComponents(resolved.context, &merged,
+                                           plan.output_split_bytes, &pending,
+                                           &outputs));
 
   auto is_input = [&resolved](size_t pos) {
     return std::binary_search(resolved.positions.begin(),
                               resolved.positions.end(), pos);
   };
-  auto install_locked = [&] {
-    mu_.AssertHeld();
+  {
+    MutexLock lock(&mu_);
+    // Rebuild the stack with the inputs dropped and the outputs (none when
+    // everything reconciled away) spliced in before install_before, which
+    // may be components_.size(): the bottom of the stack.
     std::vector<std::shared_ptr<DiskComponent>> next;
     next.reserve(components_.size() - resolved.positions.size() +
                  outputs.size());
-    bool inserted = false;
-    for (size_t i = 0; i < components_.size(); ++i) {
+    for (size_t i = 0; i <= components_.size(); ++i) {
       if (i == resolved.install_before) {
-        for (SealedOutput& output : outputs) next.push_back(output.component);
-        inserted = true;
+        for (const SealedOutput& output : outputs) {
+          if (output.component) next.push_back(output.component);
+        }
       }
-      if (is_input(i)) continue;
-      next.push_back(components_[i]);
-    }
-    if (!inserted) {
-      for (SealedOutput& output : outputs) next.push_back(output.component);
+      if (i < components_.size() && !is_input(i)) {
+        next.push_back(components_[i]);
+      }
     }
     components_ = std::move(next);
     ++merges_completed_;
     merge_bytes_read_ += resolved.input_bytes;
     for (const SealedOutput& output : outputs) {
-      merge_bytes_written_ += output.component->metadata().file_size;
+      merge_bytes_written_ += output.metadata.file_size;
     }
     CheckLevelInvariantLocked();
-  };
-
-  if (outputs.empty()) {
-    // Everything reconciled away: no new component, the inputs just vanish.
-    // Listener-visible shape matches the single-output path (operation
-    // begins, an empty metadata seals), and an id is still consumed, so the
-    // id sequence is identical to the historical behavior.
-    std::vector<std::unique_ptr<ComponentWriteObserver>> observers;
-    for (LsmEventListener* listener : listeners_) {
-      auto observer = listener->OnOperationBegin(resolved.context);
-      if (observer) observers.push_back(std::move(observer));
-    }
-    ComponentMetadata empty;
-    empty.level = plan.target_level;
-    {
-      MutexLock lock(&mu_);
-      empty.id = next_component_id_++;
-      empty.timestamp = logical_clock_++;
-      install_locked();
-    }
-    for (auto& observer : observers) {
-      observer->OnComponentSealed(empty, resolved.replaced_ids);
-    }
-    *obsolete = std::move(resolved.inputs);
-    return Status::OK();
   }
-
-  {
-    MutexLock lock(&mu_);
-    install_locked();
-  }
-  // Seal notifications run without mu_, after the atomic install, so
-  // listeners see a stack that already contains every output. Only the first
-  // output carries the replaced ids: downstream sinks drop the inputs once
-  // and register each output exactly once.
-  bool first = true;
-  for (SealedOutput& output : outputs) {
-    for (auto& observer : output.observers) {
-      observer->OnComponentSealed(
-          output.component->metadata(),
-          first ? resolved.replaced_ids : std::vector<uint64_t>{});
-    }
-    first = false;
-  }
-  LSMSTATS_LOG(kDebug) << options_.name << ": merge sealed " << outputs.size()
-                       << " component(s) at level " << plan.target_level
-                       << " from " << resolved.inputs.size() << " input(s)";
+  NotifySealed(outputs, resolved.replaced_ids);
   *obsolete = std::move(resolved.inputs);
   return Status::OK();
 }
@@ -1378,18 +1291,22 @@ Status LsmTree::Bulkload(EntryCursor* input, uint64_t expected_records,
     context.expected_records = expected_records;
     context.expected_anti_matter = expected_anti_matter;
 
-    std::shared_ptr<DiskComponent> component;
-    Status s = WriteComponent(
-        context, input, {},
-        [this](std::shared_ptr<DiskComponent> sealed) {
-          mu_.AssertHeld();  // WriteComponent invokes install under mu_
-          if (sealed) components_.insert(components_.begin(),
-                                         std::move(sealed));
-        },
-        &component);
-    // No transient retry here: the caller owns the input cursor and it is
-    // not rewindable, so only the health surface is updated.
+    std::vector<SealedOutput> outputs;
+    Status s = BuildComponents(context, input, /*split_bytes=*/0,
+                               /*pending=*/nullptr, &outputs);
+    // An out-of-order stream is the caller's error: the build was abandoned
+    // and nothing changed, so the tree stays healthy. No transient retry
+    // either: the caller owns the input cursor and it is not rewindable, so
+    // only the health surface is updated.
+    if (s.code() == StatusCode::kInvalidArgument) return s;
     if (!s.ok()) return NoteStructuralFailure(std::move(s));
+    {
+      MutexLock lock(&mu_);
+      if (outputs.front().component) {
+        components_.insert(components_.begin(), outputs.front().component);
+      }
+    }
+    NotifySealed(outputs, {});
   }
   return MaybeMerge();
 }

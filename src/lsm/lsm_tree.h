@@ -4,12 +4,15 @@
 // it is rotated into a queue of immutable memtables and flushed to an
 // immutable disk component with one sequential write. A merge policy
 // periodically consolidates disk components, reconciling anti-matter with the
-// records it cancels (Appendix A). Flush, merge, and bulkload all funnel
-// through one WriteComponent() routine that streams a sorted entry cursor
-// into a component builder — and announces the stream to registered
-// LsmEventListeners, which is where statistics collection hooks in (paper
-// §3.1: "disk operations in the LSM framework can be generalized by a single
-// bulkload() routine").
+// records it cancels (Appendix A). Flush, bulkload and every merge output are
+// written by one routine, BuildComponents(), the only place a component
+// builder is made (a tools/lint.py rule, `component-writer`, keeps it so): it
+// streams a sorted entry cursor into new components — splitting a merge's
+// stream at key boundaries when the plan asks for it — and announces the
+// stream to registered LsmEventListeners, which is where statistics
+// collection hooks in (paper §3.1: "disk operations in the LSM framework can
+// be generalized by a single bulkload() routine"). Each caller then splices
+// the sealed outputs into the stack and sends the seal notifications.
 //
 // Threading model (see DESIGN.md "Threading model"):
 //   * The tree is internally synchronized: Put/Delete/Get/Scan/Flush may be
@@ -189,10 +192,12 @@ class LsmTree {
   // that crashed before sealing are deleted; components that fail to open or
   // fail checksum verification are quarantined along with everything newer
   // (see LsmTreeOptions::quarantine_corrupt_components), as is a manifest
-  // that fails its checksum. Surviving write-ahead-log
-  // segments are replayed into the fresh memtable (torn tail truncated,
-  // mid-log corruption quarantined) — without them the memtable's contents at
-  // crash time are lost; see DESIGN.md "Failure model & durability".
+  // that fails its checksum. A tree keeps no write-ahead log: its memtable
+  // starts empty, and a Dataset replays its own log into its trees after
+  // opening them. A directory holding a `<name>_<seq>.wal` segment of the
+  // retired per-tree log is refused (Unimplemented) rather than opened with
+  // those acknowledged records dropped; see DESIGN.md "Failure model &
+  // durability".
   [[nodiscard]]
   static StatusOr<std::unique_ptr<LsmTree>> Open(LsmTreeOptions options);
 
@@ -289,7 +294,9 @@ class LsmTree {
 
   // Builds one component bottom-up from a sorted, reconciled entry stream.
   // Requires an empty memtable. `expected_records` is the stream length
-  // (known from the sorter, paper §3.2).
+  // (known from the sorter, paper §3.2). A stream whose keys are not strictly
+  // increasing is the caller's error: InvalidArgument, nothing written, and
+  // the tree stays healthy.
   [[nodiscard]]
   Status Bulkload(EntryCursor* input, uint64_t expected_records,
                   uint64_t expected_anti_matter = 0);
@@ -437,16 +444,42 @@ class LsmTree {
   [[nodiscard]]
   Status FlushOneImmutableWithRetry() EXCLUDES(work_mu_, mu_);
 
-  // Streams `input` into a new component, driving listeners. `install` is
-  // invoked under mu_ with the sealed component (null when the stream
-  // reconciled to nothing) and must splice it into the stack atomically for
-  // readers. Caller holds work_mu_.
+  // One output of BuildComponents: the sealed component (null when the
+  // stream reconciled to nothing), the metadata its observers are told
+  // about (empty but for id, timestamp and level in that case), and the
+  // observers that watched it being written.
+  struct SealedOutput {
+    std::shared_ptr<DiskComponent> component;
+    ComponentMetadata metadata;
+    std::vector<std::unique_ptr<ComponentWriteObserver>> observers;
+  };
+
+  // The one component writer behind flush, bulkload and merge. Streams
+  // `input` into new components at context.target_level, each announced to
+  // the listeners before its id is taken. With `split_bytes` > 0 a new
+  // output starts at the first key boundary once an output's approximate
+  // size reaches it (0 writes one output). With `pending` set — a merge's
+  // write-ahead manifest record — each output id is added to it and the
+  // manifest re-written before that output's file exists. An empty stream
+  // yields one output with no component; it still consumes an id and a
+  // timestamp. Installs nothing: the caller splices `outputs` into the stack
+  // under mu_, then calls NotifySealed. On failure the sealed outputs are
+  // unlinked best-effort and `outputs` is left empty, so the stack is as it
+  // was. `Cursor` is EntryCursor or the concrete MergeCursor, so a merge's
+  // per-entry Next() is a direct call. Caller holds work_mu_.
+  template <typename Cursor>
   [[nodiscard]]
-  Status WriteComponent(
-      const OperationContext& context, EntryCursor* input,
-      const std::vector<uint64_t>& replaced_ids,
-      const std::function<void(std::shared_ptr<DiskComponent>)>& install,
-      std::shared_ptr<DiskComponent>* out) REQUIRES(work_mu_) EXCLUDES(mu_);
+  Status BuildComponents(const OperationContext& context, Cursor* input,
+                         uint64_t split_bytes, ManifestPendingMerge* pending,
+                         std::vector<SealedOutput>* outputs)
+      REQUIRES(work_mu_) EXCLUDES(mu_);
+
+  // Sends OnComponentSealed to every output's observers, after the install
+  // and without mu_, so listeners see a stack that already holds every
+  // output. Only the first output carries `replaced_ids`: downstream sinks
+  // drop the inputs once and register each output exactly once.
+  static void NotifySealed(const std::vector<SealedOutput>& outputs,
+                           const std::vector<uint64_t>& replaced_ids);
 
   // A merge plan resolved against the live stack: the input components (in
   // stack order, newest first), their positions, where the outputs splice
@@ -486,14 +519,13 @@ class LsmTree {
 
   // Executes one merge plan up to and including the atomic install, filling
   // `obsolete` with the replaced components (whose files still exist — pass
-  // them to DeleteObsoleteComponents). Streams the merged inputs into one
-  // output, or several when plan.output_split_bytes > 0 (split at key
-  // boundaries once an output reaches that size); outputs install at the
-  // plan's target level, at the stack position ResolvePlanLocked computed.
-  // Writes the manifest's pending record before creating any output file and
-  // re-writes it as each output id is allocated, so a crash at any point
-  // leaves a recoverable directory. On failure the install never ran, sealed
-  // outputs are unlinked best-effort, and `obsolete` is untouched, so
+  // them to DeleteObsoleteComponents). Streams the merged inputs through
+  // BuildComponents — one output, or several when plan.output_split_bytes >
+  // 0 — and installs them at the plan's target level, at the stack position
+  // ResolvePlanLocked computed. Writes the manifest's pending record before
+  // creating any output file (BuildComponents re-writes it as each output id
+  // is allocated), so a crash at any point leaves a recoverable directory.
+  // On failure the install never ran and `obsolete` is untouched, so
   // retrying with the same plan is safe; a success must NOT be re-run (the
   // stack has changed under the plan's ids).
   [[nodiscard]]

@@ -131,6 +131,25 @@ TEST_F(DatasetTest, LoadBulkloadsSingleComponentPerIndex) {
   EXPECT_EQ(catalog_.EntryCount(dataset->StatsKey("value")), 1u);
 }
 
+TEST_F(DatasetTest, LoadRejectsADuplicatePkAndLeavesTheDatasetWritable) {
+  auto dataset = OpenDataset();
+  std::vector<Record> records = {MakeRecord(1, 3), MakeRecord(2, 4),
+                                 MakeRecord(2, 5), MakeRecord(3, 6)};
+  EXPECT_EQ(dataset->Load(records).code(), StatusCode::kInvalidArgument);
+  // Nothing was applied and no index degraded.
+  EXPECT_EQ(dataset->Health().mode, TreeMode::kHealthy);
+  EXPECT_EQ(dataset->primary()->ComponentCount(), 0u);
+  EXPECT_EQ(dataset->live_records(), 0u);
+  ASSERT_TRUE(dataset->Insert(MakeRecord(7, 1)).ok());
+  EXPECT_EQ(dataset->CountAll().value(), 1u);
+  // A record that does not match the schema is rejected the same way.
+  Record short_record = MakeRecord(8, 2);
+  short_record.fields.pop_back();
+  EXPECT_EQ(dataset->Load({short_record}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dataset->Health().mode, TreeMode::kHealthy);
+}
+
 TEST_F(DatasetTest, StatisticsTrackIngestionExactlyWithFullPrecision) {
   // With one bucket per domain value the equi-width histogram is exact, so
   // the estimate must match the ground truth through flushes, updates,

@@ -410,6 +410,21 @@ TEST(LsmTree, BulkloadRequiresEmptyMemtable) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(LsmTree, BulkloadRejectsOutOfOrderInputWithoutDegrading) {
+  // The builder is abandoned and nothing changes, so the caller's bad input
+  // is its error alone: the tree stays healthy and writable.
+  TempDir dir;
+  auto tree = OpenTree(dir.path());
+  VectorEntryCursor cursor(
+      {{PrimaryKey(2), "b", false}, {PrimaryKey(1), "a", false}});
+  EXPECT_EQ(tree->Bulkload(&cursor, 2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree->Health().mode, TreeMode::kHealthy);
+  EXPECT_EQ(tree->ComponentCount(), 0u);
+  ASSERT_TRUE(tree->Put(PrimaryKey(1), "a", true).ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  EXPECT_EQ(tree->ComponentCount(), 1u);
+}
+
 // Listener that records every observed entry and sealed component.
 class RecordingListener : public LsmEventListener {
  public:
@@ -419,33 +434,37 @@ class RecordingListener : public LsmEventListener {
     uint64_t entries_seen;
     uint64_t anti_seen;
     std::vector<uint64_t> replaced;
+    OperationContext context;     // as OnOperationBegin saw it
+    ComponentMetadata metadata;   // as OnComponentSealed saw it
   };
 
   std::unique_ptr<ComponentWriteObserver> OnOperationBegin(
       const OperationContext& context) override {
-    return std::make_unique<Observer>(this, context.op);
+    ++begun;
+    return std::make_unique<Observer>(this, context);
   }
 
   std::vector<Sealed> sealed;
+  uint64_t begun = 0;
 
  private:
   class Observer : public ComponentWriteObserver {
    public:
-    Observer(RecordingListener* parent, LsmOperation op)
-        : parent_(parent), op_(op) {}
+    Observer(RecordingListener* parent, const OperationContext& context)
+        : parent_(parent), context_(context) {}
     void OnEntryView(const EntryView& entry) override {
       ++entries_;
       if (entry.anti_matter) ++anti_;
     }
     void OnComponentSealed(const ComponentMetadata& metadata,
                            const std::vector<uint64_t>& replaced) override {
-      parent_->sealed.push_back(
-          {op_, metadata.id, entries_, anti_, replaced});
+      parent_->sealed.push_back({context_.op, metadata.id, entries_, anti_,
+                                 replaced, context_, metadata});
     }
 
    private:
     RecordingListener* parent_;
-    LsmOperation op_;
+    OperationContext context_;
     uint64_t entries_ = 0;
     uint64_t anti_ = 0;
   };
@@ -481,6 +500,224 @@ TEST(LsmTree, ListenersObserveEveryRecordOfEveryEvent) {
   EXPECT_EQ(listener.sealed[2].entries_seen, 149u);
   EXPECT_EQ(listener.sealed[2].anti_seen, 0u);
   EXPECT_EQ(listener.sealed[2].replaced.size(), 2u);
+}
+
+// Forwards to the default Env and counts component-manifest writes (each
+// one is a rename onto `<name>.manifest`).
+class ManifestCountingEnv : public Env {
+ public:
+  uint64_t manifest_writes() const { return manifest_writes_; }
+
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    return Env::Default()->NewWritableFile(path);
+  }
+  StatusOr<std::shared_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    return Env::Default()->NewRandomAccessFile(path);
+  }
+  Status CreateDirIfMissing(const std::string& path) override {
+    return Env::Default()->CreateDirIfMissing(path);
+  }
+  Status RemoveFileIfExists(const std::string& path) override {
+    return Env::Default()->RemoveFileIfExists(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return Env::Default()->FileExists(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    if (to.size() > 9 && to.compare(to.size() - 9, 9, ".manifest") == 0) {
+      ++manifest_writes_;
+    }
+    return Env::Default()->RenameFile(from, to);
+  }
+  Status SyncDir(const std::string& path) override {
+    return Env::Default()->SyncDir(path);
+  }
+  Status TruncateFile(const std::string& path, uint64_t size) override {
+    return Env::Default()->TruncateFile(path, size);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* names) override {
+    return Env::Default()->ListDir(path, names);
+  }
+
+ private:
+  uint64_t manifest_writes_ = 0;
+};
+
+TEST(LsmTree, ListenersSeeBulkloadsIncludingAnEmptyOne) {
+  TempDir dir;
+  RecordingListener listener;
+  auto tree = OpenTree(dir.path());
+  tree->AddListener(&listener);
+
+  std::vector<Entry> entries;
+  for (int64_t k = 0; k < 100; ++k) {
+    entries.push_back({PrimaryKey(k), k % 10 == 0 ? "" : "bulk", k % 10 == 0});
+  }
+  VectorEntryCursor cursor(std::move(entries));
+  ASSERT_TRUE(tree->Bulkload(&cursor, 100, 10).ok());
+  // An empty stream still begins and seals an operation, with empty
+  // metadata, and consumes one component id.
+  VectorEntryCursor empty({});
+  ASSERT_TRUE(tree->Bulkload(&empty, 0).ok());
+  EXPECT_EQ(tree->ComponentCount(), 1u);
+  ASSERT_TRUE(tree->Put(PrimaryKey(500), "x", true).ok());
+  ASSERT_TRUE(tree->Flush().ok());
+
+  ASSERT_EQ(listener.begun, 3u);
+  ASSERT_EQ(listener.sealed.size(), 3u);
+  const auto& loaded = listener.sealed[0];
+  EXPECT_EQ(loaded.op, LsmOperation::kBulkload);
+  EXPECT_EQ(loaded.component_id, 1u);
+  EXPECT_EQ(loaded.entries_seen, 100u);
+  EXPECT_EQ(loaded.anti_seen, 10u);
+  EXPECT_TRUE(loaded.replaced.empty());
+  EXPECT_EQ(loaded.context.expected_records, 100u);
+  EXPECT_EQ(loaded.context.expected_anti_matter, 10u);
+  EXPECT_EQ(loaded.context.target_level, 0u);
+  EXPECT_EQ(loaded.metadata.record_count, 100u);
+  EXPECT_EQ(loaded.metadata.anti_matter_count, 10u);
+  EXPECT_EQ(loaded.metadata.level, 0u);
+  EXPECT_EQ(loaded.metadata.timestamp, 1u);
+
+  const auto& nothing = listener.sealed[1];
+  EXPECT_EQ(nothing.op, LsmOperation::kBulkload);
+  EXPECT_EQ(nothing.component_id, 2u);
+  EXPECT_EQ(nothing.entries_seen, 0u);
+  EXPECT_TRUE(nothing.replaced.empty());
+  EXPECT_EQ(nothing.context.expected_records, 0u);
+  EXPECT_EQ(nothing.metadata.record_count, 0u);
+  EXPECT_EQ(nothing.metadata.level, 0u);
+  EXPECT_EQ(nothing.metadata.timestamp, 2u);
+
+  EXPECT_EQ(listener.sealed[2].op, LsmOperation::kFlush);
+  EXPECT_EQ(listener.sealed[2].component_id, 3u);
+  EXPECT_EQ(listener.sealed[2].metadata.timestamp, 3u);
+}
+
+TEST(LsmTree, ListenersSeeEveryOutputOfAPartitionedMerge) {
+  TempDir dir;
+  ManifestCountingEnv env;
+  RecordingListener listener;
+  LeveledPolicyOptions policy;
+  policy.level0_limit = 2;
+  policy.base_level_bytes = 1 << 30;  // only L0 -> L1 merges
+  policy.partition_split_bytes = 4096;
+  LsmTreeOptions options;
+  options.directory = dir.path();
+  options.env = &env;
+  options.merge_policy = std::make_shared<LeveledMergePolicy>(policy);
+  auto tree = LsmTree::Open(options).value();
+  tree->AddListener(&listener);
+
+  const std::string payload(100, 'p');
+  for (int64_t flush = 0; flush < 3; ++flush) {
+    for (int64_t k = flush * 40; k < flush * 40 + 40; ++k) {
+      ASSERT_TRUE(tree->Put(PrimaryKey(k), payload, true).ok());
+    }
+    // The last flush carries one anti-matter entry; the merge below covers
+    // the oldest component, so it reconciles away with its record.
+    if (flush == 2) {
+      ASSERT_TRUE(tree->Delete(PrimaryKey(5)).ok());
+    } else {
+      ASSERT_TRUE(tree->Flush().ok());
+    }
+  }
+  const uint64_t writes_before_merge = env.manifest_writes();
+  ASSERT_TRUE(tree->Flush().ok());  // third L0 component: merges into L1
+
+  // Three flushes, then the merge's outputs: 119 live entries, split once
+  // an output's approximate size (value + 32 per entry) reaches 4096 bytes,
+  // i.e. after 32 entries.
+  const std::vector<uint64_t> sizes = {32, 32, 32, 23};
+  ASSERT_EQ(listener.sealed.size(), 3 + sizes.size());
+  ASSERT_EQ(listener.begun, 3 + sizes.size());
+  EXPECT_EQ(listener.sealed[2].entries_seen, 41u);
+  EXPECT_EQ(listener.sealed[2].anti_seen, 1u);
+  uint64_t consumed = 0;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const auto& output = listener.sealed[3 + i];
+    SCOPED_TRACE("output " + std::to_string(i));
+    EXPECT_EQ(output.op, LsmOperation::kMerge);
+    EXPECT_EQ(output.component_id, 4 + i);
+    EXPECT_EQ(output.entries_seen, sizes[i]);
+    EXPECT_EQ(output.anti_seen, 0u);
+    EXPECT_EQ(output.metadata.record_count, sizes[i]);
+    EXPECT_EQ(output.metadata.anti_matter_count, 0u);
+    EXPECT_EQ(output.metadata.level, 1u);
+    EXPECT_EQ(output.metadata.timestamp, 4 + i);
+    // Each output's context bounds what is left of the inputs.
+    EXPECT_EQ(output.context.expected_records, 121u - consumed);
+    EXPECT_EQ(output.context.expected_anti_matter, 1u);
+    EXPECT_EQ(output.context.target_level, 1u);
+    EXPECT_TRUE(output.context.includes_oldest_component);
+    // Only the first output carries the replaced ids, newest first.
+    if (i == 0) {
+      EXPECT_EQ(output.replaced, (std::vector<uint64_t>{3, 2, 1}));
+    } else {
+      EXPECT_TRUE(output.replaced.empty());
+    }
+    consumed += sizes[i];
+  }
+  EXPECT_EQ(tree->ComponentCount(), sizes.size());
+  // One pending record before the first output, one per output id, one
+  // commit.
+  EXPECT_EQ(env.manifest_writes() - writes_before_merge, sizes.size() + 2);
+  ASSERT_TRUE(tree->Put(PrimaryKey(1000), payload, true).ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  EXPECT_EQ(listener.sealed.back().component_id, 4 + sizes.size());
+}
+
+TEST(LsmTree, ListenersSeeAnEmptyMergeSealAtItsTargetLevel) {
+  TempDir dir;
+  ManifestCountingEnv env;
+  RecordingListener listener;
+  LeveledPolicyOptions policy;
+  policy.level0_limit = 2;
+  policy.base_level_bytes = 1 << 30;
+  LsmTreeOptions options;
+  options.directory = dir.path();
+  options.env = &env;
+  options.merge_policy = std::make_shared<LeveledMergePolicy>(policy);
+  auto tree = LsmTree::Open(options).value();
+  tree->AddListener(&listener);
+
+  for (int64_t k = 0; k < 10; ++k) {
+    ASSERT_TRUE(tree->Put(PrimaryKey(k), "x", true).ok());
+  }
+  ASSERT_TRUE(tree->Flush().ok());
+  for (int64_t k = 0; k < 5; ++k) ASSERT_TRUE(tree->Delete(PrimaryKey(k)).ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  for (int64_t k = 5; k < 10; ++k) {
+    ASSERT_TRUE(tree->Delete(PrimaryKey(k)).ok());
+  }
+  const uint64_t writes_before_merge = env.manifest_writes();
+  ASSERT_TRUE(tree->Flush().ok());  // third L0 component: merges into L1
+
+  ASSERT_EQ(listener.sealed.size(), 4u);
+  ASSERT_EQ(listener.begun, 4u);
+  const auto& merged = listener.sealed[3];
+  EXPECT_EQ(merged.op, LsmOperation::kMerge);
+  EXPECT_EQ(merged.component_id, 4u);
+  EXPECT_EQ(merged.entries_seen, 0u);
+  EXPECT_EQ(merged.replaced, (std::vector<uint64_t>{3, 2, 1}));
+  EXPECT_EQ(merged.context.expected_records, 20u);
+  EXPECT_EQ(merged.context.expected_anti_matter, 10u);
+  EXPECT_EQ(merged.context.target_level, 1u);
+  EXPECT_EQ(merged.metadata.id, 4u);
+  EXPECT_EQ(merged.metadata.record_count, 0u);
+  EXPECT_EQ(merged.metadata.level, 1u);
+  EXPECT_EQ(merged.metadata.timestamp, 4u);
+  EXPECT_EQ(tree->ComponentCount(), 0u);
+  // The pending record and the commit; no output id is ever recorded.
+  EXPECT_EQ(env.manifest_writes() - writes_before_merge, 2u);
+
+  // The empty merge consumed exactly one id.
+  ASSERT_TRUE(tree->Put(PrimaryKey(20), "x", true).ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  EXPECT_EQ(listener.sealed.back().component_id, 5u);
 }
 
 TEST(LsmTree, EmptyFlushAndRequestFlushAreNoOps) {

@@ -42,6 +42,13 @@ clang-tidy is unavailable:
                  WAL module itself and tests/ are exempt) — the dataset is
                  the one owner of a write-ahead log, so an index tree, a
                  bench or an example never grows a second log stream.
+  component-writer  a `DiskComponentBuilder` is constructed at exactly one
+                 place in src/: LsmTree::BuildComponents in
+                 src/lsm/lsm_tree.cc, the one writer behind flush, merge and
+                 bulkload (the builder's own disk_component.* and tests/ and
+                 bench/ are exempt) — so every component is announced to the
+                 statistics listeners the same way and no second build loop
+                 can drift from the first.
   background-error  `background_error_` is assigned only inside the
                  designated LsmTree setters (SetBackgroundErrorLocked /
                  ClearBackgroundErrorLocked) — every other mutation would
@@ -325,15 +332,19 @@ def check_wal_io(path: Path, raw_lines: list[str], code_lines: list[str]) -> Non
 
 # ----------------------------------------------------------------- wal-owner
 
-# A construction of a WalLog: make_unique/make_shared, `new`, a named object
-# (`WalLog log(...)` / `WalLog log{...}`) or a temporary (`WalLog(...)`).
-# Scanned over the code view, so comments and strings never match.
-WAL_OWNER_RE = re.compile(
-    r"\bmake_(?:unique|shared)\s*<\s*(?:lsmstats\s*::\s*)?WalLog\s*>"
-    r"|\bnew\s+(?:lsmstats\s*::\s*)?WalLog\b"
-    r"|\bWalLog\s+\w+\s*[({]"
-    r"|(?<![~:\w])WalLog\s*[({]"
-)
+def construction_re(cls: str) -> re.Pattern[str]:
+    """A construction of `cls`: make_unique/make_shared, `new`, a named
+    object (`T x(...)` / `T x{...}`) or a temporary (`T(...)`). Scanned over
+    the code view, so comments and strings never match."""
+    return re.compile(
+        rf"\bmake_(?:unique|shared)\s*<\s*(?:lsmstats\s*::\s*)?{cls}\s*>"
+        rf"|\bnew\s+(?:lsmstats\s*::\s*)?{cls}\b"
+        rf"|\b{cls}\s+\w+\s*[({{]"
+        rf"|(?<![~:\w]){cls}\s*[({{]"
+    )
+
+
+WAL_OWNER_RE = construction_re("WalLog")
 
 WAL_OWNER_FILES = {
     SRC / "db" / "dataset.cc",
@@ -350,6 +361,39 @@ def check_wal_owner(path: Path, raw_lines: list[str], code_lines: list[str]) -> 
             report(path, idx + 1, "wal-owner",
                    "`WalLog` constructed outside src/db/dataset.cc — the "
                    "dataset is the only owner of a write-ahead log")
+
+
+# ---------------------------------------------------------- component-writer
+
+COMPONENT_WRITER_RE = construction_re("DiskComponentBuilder")
+
+COMPONENT_WRITER_FILE = SRC / "lsm" / "lsm_tree.cc"
+COMPONENT_WRITER_EXEMPT = {
+    SRC / "lsm" / "disk_component.h",
+    SRC / "lsm" / "disk_component.cc",
+}
+
+
+def check_component_writer(path: Path, raw_lines: list[str], code_lines: list[str]) -> None:
+    if path in COMPONENT_WRITER_EXEMPT:
+        return
+    seen_in_writer = 0
+    for idx, code in enumerate(code_lines):
+        if not COMPONENT_WRITER_RE.search(code) or allowed(raw_lines[idx], "component-writer"):
+            continue
+        if path == COMPONENT_WRITER_FILE:
+            seen_in_writer += 1
+            if seen_in_writer == 1:
+                continue
+            report(path, idx + 1, "component-writer",
+                   "second `DiskComponentBuilder` construction in "
+                   "src/lsm/lsm_tree.cc — flush, merge and bulkload share "
+                   "LsmTree::BuildComponents")
+        else:
+            report(path, idx + 1, "component-writer",
+                   "`DiskComponentBuilder` constructed outside "
+                   "LsmTree::BuildComponents — components are written only "
+                   "by the tree's one component writer")
 
 
 # ----------------------------------------------------------------- raw-mutex
@@ -560,6 +604,7 @@ def main() -> int:
         check_memory_budget(path, raw, code)
         check_merge_policy(path, raw, code)
         check_background_error(path, raw, code)
+        check_component_writer(path, raw, code)
     random_impl = REPO / "src" / "common"
     for path in cc_and_h:
         if SRC not in path.parents and (REPO / "bench") not in path.parents:

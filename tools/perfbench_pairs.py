@@ -19,9 +19,12 @@ For every metric `BENCHMARK.json` lists (the end-to-end ones, or with
 the change/parent ratio of the medians, and in how many pairs the change was
 better. `gain` marks a metric where the change won at least nine pairs in
 ten and the medians differ by more than the parent's interquartile range;
-`over bound` marks an end-to-end median worse than its bound allows. Runs
-that are not `correct` or that report failed operations are listed at the
-end. `--json` also writes the summary and every run's result. Nothing under `perfbench/` or
+`over bound` marks an end-to-end median worse than its bound allows.
+`unresolved` marks an end-to-end metric whose parent runs spread wider than
+its bound (interquartile range over median), unless every change run beats
+every parent run: at that spread a median within the bound does not show
+the metric unchanged. Runs that are not `correct` or that report failed
+operations are listed at the end. `--json` also writes the summary and every run's result. Nothing under `perfbench/` or
 `BENCHMARK.json` is changed. A binary runs with its data directory under
 this checkout's `.bench_build/perfbench-pairs/` (the filesystem `run.py`
 uses), which is removed afterwards.
@@ -107,6 +110,10 @@ def summarize(metrics, pairs):
             worse_by = (cmed - pmed) / pmed if lower else (pmed - cmed) / pmed
             if worse_by > bound:
                 notes.append("over bound")
+            beats_all = (max(change) < min(parent) if lower
+                         else min(change) > max(parent))
+            if (pq3 - pq1) / abs(pmed) > bound and not beats_all:
+                notes.append("unresolved")
         rows.append((name, (pq1, pmed, pq3), (cq1, cmed, cq3), ratio, wins,
                      " ".join(notes)))
     return rows
