@@ -111,8 +111,8 @@ BENCHMARK(BM_MemTablePut);
 
 // A CountRange's copy of the mutable memtable: 8192 random secondary keys,
 // each insert followed by a live 1 KB allocation (the way a primary tree's
-// values land between a memtable's nodes), then a keys-only snapshot of
-// about 850 of them. `time_per_entry` is the cost per copied entry.
+// values land between a memtable's nodes), then a key snapshot of about 850
+// of them. `time_per_entry` is the cost per copied entry.
 void BM_MemTableRangeSnapshot(benchmark::State& state) {
   constexpr int64_t kSkDomain = 1 << 20;
   constexpr int kKeys = 8192;
@@ -128,13 +128,9 @@ void BM_MemTableRangeSnapshot(benchmark::State& state) {
   }
   const LsmKey lo = SecondaryKey(0, 0);
   const LsmKey hi = SecondaryKey(kSkDomain * 850 / kKeys, kKeys);
-  size_t copied = 0;
-  for (auto cursor = memtable.NewSnapshotCursor(lo, hi, true); cursor->Valid();
-       cursor->Next()) {
-    ++copied;
-  }
+  const size_t copied = memtable.NewSnapshotKeyCursor(lo, hi)->NextRun().size();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(memtable.NewSnapshotCursor(lo, hi, true));
+    benchmark::DoNotOptimize(memtable.NewSnapshotKeyCursor(lo, hi));
   }
   state.counters["entries"] = static_cast<double>(copied);
   state.counters["time_per_entry"] = benchmark::Counter(
@@ -312,37 +308,67 @@ void BM_ComponentGet(benchmark::State& state, bool cached) {
 BENCHMARK_CAPTURE(BM_ComponentGet, Cold, false);
 BENCHMARK_CAPTURE(BM_ComponentGet, Cached, true);
 
-// A reconciled count over `fan_in` components whose blocks all sit in the
-// block cache, as ScanCount runs it: 64K secondary entries in total, dealt
-// round-robin so the winning input changes at every step (the linear winner
-// scan's worst case). Items are entries counted, so the per-item cost is
-// comparable across fan-ins; it settles whether a heap would pay.
-void BM_MergeCursorCount(benchmark::State& state) {
-  char tmpl[] = "/tmp/lsmstats_micro_XXXXXX";
-  std::string dir = ::mkdtemp(tmpl);
-  const auto fan_in = static_cast<int64_t>(state.range(0));
-  const int64_t kEntries = 64 * 1024;
-  BlockCache cache(64 << 20);
-  std::vector<std::shared_ptr<DiskComponent>> components;
-  for (int64_t c = 0; c < fan_in; ++c) {
-    DiskComponentBuilder builder(nullptr,
-                                 dir + "/c" + std::to_string(c) + ".cmp",
-                                 kEntries / fan_in, ComponentWriteOptions{},
-                                 DiskComponentReadOptions{&cache});
-    for (int64_t k = c; k < kEntries; k += fan_in) {
-      benchmark::DoNotOptimize(
-          builder.Add(Entry{SecondaryKey(k / 8, k), "", false}));
+// `fan_in` components whose blocks all sit in the block cache: 64K
+// secondary entries in total. Dealt round-robin, the winning input changes
+// at every step, but in a cycle a branch predictor learns; dealt at random
+// (seeded), the winner is a coin flip, as on `churn`.
+class CachedComponents {
+ public:
+  static constexpr int64_t kEntries = 64 * 1024;
+
+  CachedComponents(int64_t fan_in, bool random_deal) {
+    char tmpl[] = "/tmp/lsmstats_micro_XXXXXX";
+    dir_ = ::mkdtemp(tmpl);
+    std::vector<int64_t> owner(kEntries);
+    Random rng(23);
+    for (int64_t k = 0; k < kEntries; ++k) {
+      owner[static_cast<size_t>(k)] =
+          random_deal ? static_cast<int64_t>(
+                            rng.Uniform(static_cast<uint64_t>(fan_in)))
+                      : k % fan_in;
     }
-    components.push_back(std::move(builder.Finish(c + 1, c + 1)).value());
-    // Warm the cache: the timed loop never reads the file.
-    for (size_t b = 0; b < components.back()->block_count(); ++b) {
-      benchmark::DoNotOptimize(components.back()->ReadBlock(b).ok());
+    for (int64_t c = 0; c < fan_in; ++c) {
+      DiskComponentBuilder builder(nullptr,
+                                   dir_ + "/c" + std::to_string(c) + ".cmp",
+                                   kEntries / fan_in, ComponentWriteOptions{},
+                                   DiskComponentReadOptions{&cache_});
+      for (int64_t k = 0; k < kEntries; ++k) {
+        if (owner[static_cast<size_t>(k)] != c) continue;
+        benchmark::DoNotOptimize(builder.Add(Entry{Key(k), "", false}));
+      }
+      components_.push_back(std::move(builder.Finish(c + 1, c + 1)).value());
+      // Warm the cache: the timed loop never reads the file.
+      for (size_t b = 0; b < components_.back()->block_count(); ++b) {
+        benchmark::DoNotOptimize(components_.back()->ReadBlock(b).ok());
+      }
     }
   }
+  ~CachedComponents() {
+    components_.clear();
+    std::filesystem::remove_all(dir_);
+  }
+
+  static LsmKey Key(int64_t k) { return SecondaryKey(k / 8, k); }
+  const std::vector<std::shared_ptr<DiskComponent>>& components() const {
+    return components_;
+  }
+
+ private:
+  std::string dir_;
+  BlockCache cache_{64 << 20};
+  std::vector<std::shared_ptr<DiskComponent>> components_;
+};
+
+// A reconciled count over CachedComponents through MergeCursor, one virtual
+// Next() per entry per input. Items are entries counted, so the per-item
+// cost is comparable across fan-ins; it settles whether a heap would pay.
+// Arguments: fan-in, and 1 to deal the keys at random.
+void BM_MergeCursorCount(benchmark::State& state) {
+  const CachedComponents layout(state.range(0), state.range(1) != 0);
   uint64_t counted = 0;
   for (auto _ : state) {
     std::vector<std::unique_ptr<EntryCursor>> inputs;
-    for (const auto& component : components) {
+    for (const auto& component : layout.components()) {
       inputs.push_back(component->NewCursor());
     }
     MergeCursor merged(std::move(inputs), /*drop_anti_matter=*/true);
@@ -352,10 +378,69 @@ void BM_MergeCursorCount(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(counted);
   state.SetItemsProcessed(static_cast<int64_t>(counted));
-  components.clear();
-  std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_MergeCursorCount)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_MergeCursorCount)->ArgsProduct({{1, 4, 8, 16}, {0, 1}});
+
+// The same count the way ScanCount runs it: key runs folded through
+// two-input merges by CountLiveKeys.
+void BM_KeyRunCount(benchmark::State& state) {
+  const CachedComponents layout(state.range(0), state.range(1) != 0);
+  const LsmKey lo = CachedComponents::Key(0);
+  const LsmKey hi = CachedComponents::Key(CachedComponents::kEntries);
+  uint64_t counted = 0;
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<KeyRunCursor>> inputs;
+    for (const auto& component : layout.components()) {
+      inputs.push_back(component->NewKeyCursor(lo, hi));
+    }
+    counted += CountLiveKeys(std::move(inputs)).value();
+  }
+  benchmark::DoNotOptimize(counted);
+  state.SetItemsProcessed(static_cast<int64_t>(counted));
+}
+BENCHMARK(BM_KeyRunCount)->ArgsProduct({{1, 4, 8, 16}, {0, 1}});
+
+// A short count, the shape of `read`'s short CountRanges: 4 keys out of one
+// cached component, plus a mutable memtable of 8192 keys above the
+// component's, so the range walk finds none of them. It prices the fixed
+// cost of a call, through MergeCursor (`key_runs` false) or CountLiveKeys.
+void BM_ShortRangeCount(benchmark::State& state, bool key_runs) {
+  const CachedComponents layout(1, /*random_deal=*/false);
+  const DiskComponent& component = *layout.components()[0];
+  MemTable memtable;
+  for (int64_t k = 0; k < 8192; ++k) {
+    memtable.Put(CachedComponents::Key(CachedComponents::kEntries + k), "v",
+                 true);
+  }
+  Random rng(17);
+  uint64_t counted = 0;
+  for (auto _ : state) {
+    const auto k = static_cast<int64_t>(
+        rng.Uniform(CachedComponents::kEntries - 4));
+    const LsmKey lo = CachedComponents::Key(k);
+    const LsmKey hi = CachedComponents::Key(k + 3);
+    if (key_runs) {
+      // As in ScanCount, the memtable's empty slice gets no input.
+      std::vector<std::unique_ptr<KeyRunCursor>> inputs;
+      if (auto keys = memtable.NewSnapshotKeyCursor(lo, hi)) {
+        inputs.push_back(std::move(keys));
+      }
+      inputs.push_back(component.NewKeyCursor(lo, hi));
+      counted += CountLiveKeys(std::move(inputs)).value();
+    } else {
+      std::vector<std::unique_ptr<EntryCursor>> inputs;
+      inputs.push_back(memtable.NewSnapshotCursor(lo, hi));
+      inputs.push_back(component.NewCursor(lo, hi));
+      MergeCursor merged(std::move(inputs), /*drop_anti_matter=*/true);
+      for (; merged.Valid(); merged.Next()) ++counted;
+    }
+  }
+  if (counted != static_cast<uint64_t>(4 * state.iterations())) {
+    state.SkipWithError("wrong count");
+  }
+}
+BENCHMARK_CAPTURE(BM_ShortRangeCount, MergeCursor, false);
+BENCHMARK_CAPTURE(BM_ShortRangeCount, KeyRuns, true);
 
 // ------------------------------------------------------------------- wal
 

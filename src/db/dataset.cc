@@ -625,21 +625,14 @@ StatusOr<uint64_t> Dataset::CountRange2D(const std::string& field_a,
     return Status::NotFound("no composite index on " + field_a + "+" +
                             field_b);
   }
-  // The tree orders by k0 first, so [lo0, hi0] bounds the cursor and the k1
-  // filter runs inline in the counting loop.
-  MergeCursor merged = index->tree->NewRangeCursor(
+  // The tree orders by k0 first, so [lo0, hi0] bounds the scan and the k1
+  // window filters the keys it counts.
+  return index->tree->ScanCount(
       CompositeKey(lo0, std::numeric_limits<int64_t>::min(),
                    std::numeric_limits<int64_t>::min()),
       CompositeKey(hi0, std::numeric_limits<int64_t>::max(),
                    std::numeric_limits<int64_t>::max()),
-      /*keys_only=*/true);
-  uint64_t count = 0;
-  for (; merged.Valid(); merged.Next()) {
-    const int64_t k1 = merged.entry().key.k1;
-    if (k1 >= lo1 && k1 <= hi1) ++count;
-  }
-  LSMSTATS_RETURN_IF_ERROR(merged.status());
-  return count;
+      lo1, hi1);
 }
 
 StatusOr<uint64_t> Dataset::CountAll() const {

@@ -27,13 +27,13 @@ constexpr int64_t kMaxKeySlot = std::numeric_limits<int64_t>::max();
 // byte. The length-prefixed value follows.
 constexpr size_t kEntryFixedBytes = 3 * 8 + 1;
 
-// Decodes the entry at `*pos` of a raw block in place: `out->value` points
-// into `block`. On success advances `*pos` past the entry and returns null;
-// a truncated or malformed entry returns the Corruption message instead.
-inline const char* DecodeEntryAt(std::string_view block, size_t* pos,
+// Decodes the entry at `*pos` of a raw block ending at `limit` in place:
+// `out->value` points into the block. On success advances `*pos` past the
+// entry and returns null; a truncated or malformed entry returns the
+// Corruption message instead.
+inline const char* DecodeEntryAt(const char** pos, const char* limit,
                                  EntryView* out) {
-  const char* p = block.data() + *pos;
-  const char* const limit = block.data() + block.size();
+  const char* p = *pos;
   if (static_cast<size_t>(limit - p) < kEntryFixedBytes) {
     return "decode past end of buffer";
   }
@@ -43,59 +43,60 @@ inline const char* DecodeEntryAt(std::string_view block, size_t* pos,
   out->anti_matter = (static_cast<uint8_t>(p[24]) & 1) != 0;
   p += kEntryFixedBytes;
   uint64_t length = 0;
-  if (const char* error = ParseVarint64(&p, limit, &length)) return error;
+  if (p != limit && static_cast<uint8_t>(*p) < 0x80) {
+    length = static_cast<uint8_t>(*p++);  // one-byte varint: short values
+  } else if (const char* error = ParseVarint64(&p, limit, &length)) {
+    return error;
+  }
   if (static_cast<uint64_t>(limit - p) < length) {
     return "string extends past end of buffer";
   }
   out->value = std::string_view(p, static_cast<size_t>(length));
-  *pos = static_cast<size_t>(p + length - block.data());
+  *pos = p + length;
   return nullptr;
 }
 
-// Cursor: walks the block sequence from `block_index` and stops after `hi`,
-// decoding entries in place out of cached (or freshly read) raw blocks. The
-// pinned block handle backs the current view until Next() moves past it.
+// Walks the block sequence from `block_index` and stops after `hi`,
+// decoding entries in place out of cached (or freshly read) raw blocks.
 // Holds a shared reference to the component so a snapshot scan stays valid
 // after the tree replaces the component.
-class BlockComponentCursor final : public EntryCursor {
+class BlockWalk {
  public:
-  BlockComponentCursor(std::shared_ptr<const DiskComponent> component,
-                       size_t block_index, const LsmKey& hi)
+  BlockWalk(std::shared_ptr<const DiskComponent> component,
+            size_t block_index, const LsmKey& hi)
       : component_(std::move(component)),
         block_index_(block_index),
         hi_(hi) {
     LoadBlock();
-    Next();
   }
 
-  [[nodiscard]] Status status() const override { return status_; }
-
-  // A null block_ means the cursor is done: past the last block or past
-  // `hi` (status OK), or failed (status_ says why).
-  void Next() override {
-    current_ = nullptr;
-    while (block_ != nullptr && pos_ == data_.size()) {
+  // Decodes the next entry into `*view`, which points into the pinned block
+  // until the walk leaves it. False once done: past the last block or past
+  // `hi` (status OK), or failed (status() says why).
+  bool Next(EntryView* view) {
+    while (block_ != nullptr && pos_ == end_) {
       ++block_index_;
       LoadBlock();
     }
-    if (block_ == nullptr) return;
-    if (const char* error = DecodeEntryAt(data_, &pos_, &view_)) {
+    if (block_ == nullptr) return false;
+    if (const char* error = DecodeEntryAt(&pos_, end_, view)) {
       status_ = Status::Corruption(error);
       block_ = nullptr;
-      return;
+      return false;
     }
-    if (hi_ < view_.key) {
+    if (hi_ < view->key) {
       block_ = nullptr;  // past the range: unpin, and stay exhausted
-      return;
+      return false;
     }
-    current_ = &view_;
+    return true;
   }
+
+  const Status& status() const { return status_; }
 
  private:
   void LoadBlock() {
     block_ = nullptr;
-    data_ = {};
-    pos_ = 0;
+    pos_ = end_ = nullptr;
     if (block_index_ >= component_->block_count()) return;
     auto block_or = component_->ReadBlock(block_index_);
     if (!block_or.ok()) {
@@ -103,17 +104,65 @@ class BlockComponentCursor final : public EntryCursor {
       return;
     }
     block_ = std::move(block_or).value();
-    data_ = *block_;
+    pos_ = block_->data();
+    end_ = pos_ + block_->size();
   }
 
   std::shared_ptr<const DiskComponent> component_;
   size_t block_index_;
   LsmKey hi_;
-  BlockCache::BlockHandle block_;  // pins data_, which view_ points into
-  std::string_view data_;
-  size_t pos_ = 0;
-  EntryView view_;
+  BlockCache::BlockHandle block_;  // pins [pos_, end_); null once done
+  // The undecoded rest of the block. Pointers, not an offset: a KeyFlag
+  // store cannot alias them, so a decode loop keeps them in registers.
+  const char* pos_ = nullptr;
+  const char* end_ = nullptr;
   Status status_;
+};
+
+class BlockComponentCursor final : public EntryCursor {
+ public:
+  BlockComponentCursor(std::shared_ptr<const DiskComponent> component,
+                       size_t block_index, const LsmKey& hi)
+      : walk_(std::move(component), block_index, hi) {
+    Next();
+  }
+
+  [[nodiscard]] Status status() const override { return walk_.status(); }
+  void Next() override { current_ = walk_.Next(&view_) ? &view_ : nullptr; }
+
+ private:
+  BlockWalk walk_;
+  EntryView view_;
+};
+
+// Key runs over [lo, hi] for a count: one loop decodes keys into a bounded
+// buffer, skipping those below `lo` (only the first block holds any).
+// Values are skipped, but their lengths are still parsed and checked, so a
+// malformed entry is Corruption as in BlockComponentCursor.
+class BlockKeyRunCursor final : public KeyRunCursor {
+ public:
+  BlockKeyRunCursor(std::shared_ptr<const DiskComponent> component,
+                    size_t block_index, const LsmKey& lo, const LsmKey& hi)
+      : walk_(std::move(component), block_index, hi), lo_(lo) {}
+
+  std::span<const KeyFlag> NextRun() override {
+    size_t n = 0;
+    EntryView entry;
+    while (n < kRunCapacity && walk_.Next(&entry)) {
+      // A key at or above `lo` was kept, so every later one is too.
+      if (n == 0 && entry.key < lo_) continue;
+      KeyFlag& out = run_[n++];  // field by field: no KeyFlag temporary
+      out.key = entry.key;
+      out.anti_matter = entry.anti_matter;
+    }
+    if (n == 0) status_ = walk_.status();
+    return {run_.data(), n};
+  }
+
+ private:
+  BlockWalk walk_;
+  LsmKey lo_;
+  KeyRunBuffer run_;
 };
 
 }  // namespace
@@ -470,10 +519,11 @@ Status DiskComponent::Get(const LsmKey& key, Entry* out) const {
   auto block_or = ReadBlock(SeekBlockIndex(key));
   LSMSTATS_RETURN_IF_ERROR(block_or.status());
   const std::string_view block = **block_or;
-  size_t pos = 0;
+  const char* pos = block.data();
+  const char* const limit = pos + block.size();
   EntryView view;
-  while (pos < block.size()) {
-    if (const char* error = DecodeEntryAt(block, &pos, &view)) {
+  while (pos < limit) {
+    if (const char* error = DecodeEntryAt(&pos, limit, &view)) {
       return Status::Corruption(error);
     }
     if (view.key == key) {
@@ -494,12 +544,18 @@ std::unique_ptr<EntryCursor> DiskComponent::NewCursor() const {
 
 std::unique_ptr<EntryCursor> DiskComponent::NewCursor(const LsmKey& lo,
                                                       const LsmKey& hi) const {
-  std::unique_ptr<EntryCursor> cursor = std::make_unique<BlockComponentCursor>(
-      shared_from_this(), SeekBlockIndex(lo), hi);
+  auto cursor = std::make_unique<BlockComponentCursor>(shared_from_this(),
+                                                       SeekBlockIndex(lo), hi);
   while (cursor->Valid() && cursor->entry().key < lo) {
     cursor->Next();
   }
   return cursor;
+}
+
+std::unique_ptr<KeyRunCursor> DiskComponent::NewKeyCursor(
+    const LsmKey& lo, const LsmKey& hi) const {
+  return std::make_unique<BlockKeyRunCursor>(shared_from_this(),
+                                             SeekBlockIndex(lo), lo, hi);
 }
 
 uint64_t DiskComponent::EvictCachedBlocks() {

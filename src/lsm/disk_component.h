@@ -188,6 +188,11 @@ class DiskComponent : public std::enable_shared_from_this<DiskComponent> {
   std::unique_ptr<EntryCursor> NewCursor(const LsmKey& lo,
                                          const LsmKey& hi) const;
 
+  // Key runs over the entries in [lo, hi], for a count: each run is decoded
+  // out of the pinned blocks into the cursor's own buffer.
+  std::unique_ptr<KeyRunCursor> NewKeyCursor(const LsmKey& lo,
+                                             const LsmKey& hi) const;
+
   // Unlinks the backing file from the directory. The component itself stays
   // readable (the descriptor remains open) so in-flight readers holding a
   // snapshot reference can finish; the space is reclaimed once the last

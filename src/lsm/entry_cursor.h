@@ -11,10 +11,17 @@
 // consumer that keeps an entry past that copies it (ToEntry). Only Next()
 // and status() are virtual: each implementation publishes its current view
 // through `current_`, so Valid() and entry() are plain loads.
+//
+// A count needs keys alone, so its inputs are KeyRunCursors instead: each
+// hands out its next run of keys as one contiguous array, one virtual call
+// per run rather than per entry (merge_cursor.h merges them).
 
 #ifndef LSMSTATS_LSM_ENTRY_CURSOR_H_
 #define LSMSTATS_LSM_ENTRY_CURSOR_H_
 
+#include <array>
+#include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -37,6 +44,47 @@ class EntryCursor {
  protected:
   // The current entry, or null once the cursor is exhausted or failed.
   const EntryView* current_ = nullptr;
+};
+
+// A key and its anti-matter bit: all a count reads of an entry.
+struct KeyFlag {
+  LsmKey key;
+  bool anti_matter = false;
+};
+
+// Forward cursor over a sorted key stream, a run of keys at a time.
+class KeyRunCursor {
+ public:
+  // Keys a buffered implementation decodes per run (4 KiB of KeyFlags).
+  static constexpr size_t kRunCapacity = 128;
+
+  virtual ~KeyRunCursor() = default;
+
+  // The next run: ascending keys that continue the previous run, valid
+  // until the next call. Empty once the cursor is exhausted or failed.
+  virtual std::span<const KeyFlag> NextRun() = 0;
+  // Why the cursor stopped: OK when it ran out of keys.
+  [[nodiscard]] const Status& status() const { return status_; }
+
+ protected:
+  Status status_;
+};
+
+// Storage for one run, left uninitialized: a cursor writes each key before
+// it hands the key out, so zeroing 4 KiB per cursor would only add a fixed
+// cost to every count.
+class KeyRunBuffer {
+ public:
+  // NOLINTNEXTLINE(modernize-use-equals-default): `= default` is deleted.
+  KeyRunBuffer() {}
+
+  KeyFlag* data() { return keys_.data(); }
+  KeyFlag& operator[](size_t i) { return keys_[i]; }
+
+ private:
+  union {
+    std::array<KeyFlag, KeyRunCursor::kRunCapacity> keys_;
+  };
 };
 
 // Cursor over an owned, pre-sorted entry vector (bulkload inputs, tests).

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -401,44 +402,57 @@ Status LsmTree::Get(const LsmKey& key, std::string* value) const {
   return Status::NotFound("key absent");
 }
 
-MergeCursor LsmTree::NewRangeCursor(const LsmKey& lo, const LsmKey& hi,
-                                    bool keys_only) const {
+template <typename Cursor>
+std::vector<std::unique_ptr<Cursor>> LsmTree::RangeInputs(
+    const LsmKey& lo, const LsmKey& hi) const {
   // Newest first: the mutable memtable's snapshot, the frozen memtables,
   // then the components. Only the snapshot copies, and only [lo, hi].
-  std::vector<std::unique_ptr<EntryCursor>> inputs;
+  constexpr bool kKeys = std::is_same_v<Cursor, KeyRunCursor>;
+  std::vector<std::unique_ptr<Cursor>> inputs;
   std::vector<std::shared_ptr<DiskComponent>> components;
   {
     MutexLock lock(&mu_);
     inputs.reserve(1 + immutables_.size() + components_.size());
-    inputs.push_back(memtable_->NewSnapshotCursor(lo, hi, keys_only));
+    if constexpr (kKeys) {
+      if (auto keys = memtable_->NewSnapshotKeyCursor(lo, hi)) {
+        inputs.push_back(std::move(keys));
+      }
+    } else {
+      inputs.push_back(memtable_->NewSnapshotCursor(lo, hi));
+    }
     for (auto it = immutables_.rbegin(); it != immutables_.rend(); ++it) {
-      inputs.push_back(MemTable::NewFrozenCursor(*it, lo, hi));
+      if constexpr (kKeys) {
+        inputs.push_back(MemTable::NewFrozenKeyCursor(*it, lo, hi));
+      } else {
+        inputs.push_back(MemTable::NewFrozenCursor(*it, lo, hi));
+      }
     }
     components = components_;
   }
   for (const auto& component : components) {
     const ComponentMetadata& md = component->metadata();
     if (md.max_key < lo || hi < md.min_key) continue;
-    inputs.push_back(component->NewCursor(lo, hi));
+    if constexpr (kKeys) {
+      inputs.push_back(component->NewKeyCursor(lo, hi));
+    } else {
+      inputs.push_back(component->NewCursor(lo, hi));
+    }
   }
-  // The cursor sees the whole tree, so anti-matter fully reconciles.
-  return MergeCursor(std::move(inputs), /*drop_anti_matter=*/true);
+  return inputs;
 }
 
 Status LsmTree::Scan(const LsmKey& lo, const LsmKey& hi,
                      const std::function<void(const EntryView&)>& fn) const {
-  MergeCursor merged = NewRangeCursor(lo, hi, /*keys_only=*/false);
+  // The cursor sees the whole tree, so anti-matter fully reconciles.
+  MergeCursor merged(RangeInputs<EntryCursor>(lo, hi),
+                     /*drop_anti_matter=*/true);
   for (; merged.Valid(); merged.Next()) fn(merged.entry());
   return merged.status();
 }
 
-StatusOr<uint64_t> LsmTree::ScanCount(const LsmKey& lo,
-                                      const LsmKey& hi) const {
-  MergeCursor merged = NewRangeCursor(lo, hi, /*keys_only=*/true);
-  uint64_t count = 0;
-  for (; merged.Valid(); merged.Next()) ++count;
-  LSMSTATS_RETURN_IF_ERROR(merged.status());
-  return count;
+StatusOr<uint64_t> LsmTree::ScanCount(const LsmKey& lo, const LsmKey& hi,
+                                      int64_t k1_lo, int64_t k1_hi) const {
+  return CountLiveKeys(RangeInputs<KeyRunCursor>(lo, hi), k1_lo, k1_hi);
 }
 
 template <typename Cursor>

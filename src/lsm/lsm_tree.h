@@ -36,6 +36,7 @@
 #include <chrono>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -231,27 +232,29 @@ class LsmTree {
   // either entirely before or entirely after it installs its result.
   [[nodiscard]] Status Get(const LsmKey& key, std::string* value) const;
 
-  // Reconciling cursor over every live (non-anti-matter) entry with
-  // lo <= key <= hi, in key order, as of this call. Under mu_ it copies only
-  // the mutable memtable's [lo, hi]; frozen memtables and components are read
-  // in place through shared handles, and a component whose key range misses
-  // [lo, hi] gets no cursor. With `keys_only` the mutable memtable's values
-  // are not copied, so a value reads as empty or not depending on where
-  // its entry lives: counting paths use keys alone.
-  MergeCursor NewRangeCursor(const LsmKey& lo, const LsmKey& hi,
-                             bool keys_only) const;
-
-  // Invokes `fn` for every live entry in [lo, hi], in key order. The view is
+  // Invokes `fn` for every live (non-anti-matter) entry in [lo, hi], in key
+  // order, as of this call. Under mu_ it copies only the mutable memtable's
+  // [lo, hi], values included; frozen memtables and components are read in
+  // place through shared handles, and a component whose key range misses
+  // [lo, hi] gets no cursor. A MergeCursor reconciles them. The view is
   // valid only during the call.
   [[nodiscard]]
   Status Scan(const LsmKey& lo, const LsmKey& hi,
               const std::function<void(const EntryView&)>& fn) const;
 
-  // Exact number of live entries in [lo, hi] — the ground-truth cardinality
-  // oracle used by the accuracy experiments. A counting loop over a
-  // keys-only NewRangeCursor; no per-entry callback.
+  // Exact number of live entries in [lo, hi] whose k1 lies in
+  // [k1_lo, k1_hi]: the ground-truth cardinality oracle of the accuracy
+  // experiments. Same snapshot as Scan, but keys alone, a run at a time
+  // (KeyRunCursor): the mutable memtable's slice copied into one array,
+  // frozen memtables and disk blocks read in place into bounded buffers
+  // (values skipped, their lengths still checked). KeyRunMerge reconciles
+  // the runs by MergeCursor's rule, with no per-entry virtual call. A read
+  // error is returned, never a short count.
   [[nodiscard]]
-  StatusOr<uint64_t> ScanCount(const LsmKey& lo, const LsmKey& hi) const;
+  StatusOr<uint64_t> ScanCount(
+      const LsmKey& lo, const LsmKey& hi,
+      int64_t k1_lo = std::numeric_limits<int64_t>::min(),
+      int64_t k1_hi = std::numeric_limits<int64_t>::max()) const;
 
   // --- Lifecycle events ----------------------------------------------------
 
@@ -453,6 +456,13 @@ class LsmTree {
     ComponentMetadata metadata;
     std::vector<std::unique_ptr<ComponentWriteObserver>> observers;
   };
+
+  // One cursor per layer holding keys of [lo, hi], newest first, for
+  // Scan (`Cursor` = EntryCursor) or ScanCount (KeyRunCursor).
+  template <typename Cursor>
+  std::vector<std::unique_ptr<Cursor>> RangeInputs(const LsmKey& lo,
+                                                   const LsmKey& hi) const
+      EXCLUDES(mu_);
 
   // The one component writer behind flush, bulkload and merge. Streams
   // `input` into new components at context.target_level, each announced to

@@ -10,9 +10,16 @@ namespace {
 constexpr uint64_t kPerEntryOverhead = 64;  // map node + key + flags
 }  // namespace
 
+std::pair<MemTable::Map::const_iterator, MemTable::Map::const_iterator>
+MemTable::Range(const LsmKey& lo, const LsmKey& hi) const {
+  auto end = entries_.upper_bound(hi);
+  // An inverted range is empty; lower_bound(lo) would lie past `end`.
+  return {hi < lo ? end : entries_.lower_bound(lo), end};
+}
+
 class MemTable::FrozenCursor final : public EntryCursor {
  public:
-  using Iterator = std::pmr::map<LsmKey, EntryState>::const_iterator;
+  using Iterator = Map::const_iterator;
 
   FrozenCursor(std::shared_ptr<const MemTable> memtable, Iterator begin,
                Iterator end)
@@ -53,29 +60,23 @@ std::unique_ptr<EntryCursor> MemTable::NewFrozenCursor(
 std::unique_ptr<EntryCursor> MemTable::NewFrozenCursor(
     std::shared_ptr<const MemTable> memtable, const LsmKey& lo,
     const LsmKey& hi) {
-  auto end = memtable->entries_.upper_bound(hi);
-  // An inverted range is empty; lower_bound(lo) would lie past `end`.
-  auto begin = hi < lo ? end : memtable->entries_.lower_bound(lo);
+  auto [begin, end] = memtable->Range(lo, hi);
   return std::make_unique<FrozenCursor>(std::move(memtable), begin, end);
 }
 
-// Owns a copy of a range: the views, and in value mode the one buffer that
-// holds their values' bytes back to back.
+// Owns a copy of a range: the views, and the one buffer that holds their
+// values' bytes back to back.
 class MemTable::SnapshotCursor final : public EntryCursor {
  public:
-  // `views` still point at the memtable's values unless `keys_only`; they
-  // are repointed here, once `values` sits where it stays (moving a short
-  // string moves its bytes).
-  SnapshotCursor(std::vector<EntryView> views, std::string values,
-                 bool keys_only)
+  // `views` still point at the memtable's values; they are repointed here,
+  // once `values` sits where it stays (moving a short string moves its
+  // bytes).
+  SnapshotCursor(std::vector<EntryView> views, std::string values)
       : views_(std::move(views)), values_(std::move(values)) {
-    if (!keys_only) {
-      size_t offset = 0;
-      for (EntryView& view : views_) {
-        view.value =
-            std::string_view(values_).substr(offset, view.value.size());
-        offset += view.value.size();
-      }
+    size_t offset = 0;
+    for (EntryView& view : views_) {
+      view.value = std::string_view(values_).substr(offset, view.value.size());
+      offset += view.value.size();
     }
     Load();
   }
@@ -98,22 +99,68 @@ class MemTable::SnapshotCursor final : public EntryCursor {
 };
 
 std::unique_ptr<EntryCursor> MemTable::NewSnapshotCursor(
-    const LsmKey& lo, const LsmKey& hi, bool keys_only) const {
-  auto end = entries_.upper_bound(hi);
-  auto it = hi < lo ? end : entries_.lower_bound(lo);
+    const LsmKey& lo, const LsmKey& hi) const {
   std::vector<EntryView> views;
   std::string values;
-  for (; it != end; ++it) {
+  for (auto [it, end] = Range(lo, hi); it != end; ++it) {
     const EntryState& state = it->second;
-    if (keys_only) {
-      views.push_back(EntryView{it->first, {}, state.anti_matter});
-    } else {
-      views.push_back(EntryView{it->first, state.value, state.anti_matter});
-      values += state.value;
-    }
+    views.push_back(EntryView{it->first, state.value, state.anti_matter});
+    values += state.value;
   }
-  return std::make_unique<SnapshotCursor>(std::move(views), std::move(values),
-                                          keys_only);
+  return std::make_unique<SnapshotCursor>(std::move(views), std::move(values));
+}
+
+class MemTable::FrozenKeyCursor final : public KeyRunCursor {
+ public:
+  FrozenKeyCursor(std::shared_ptr<const MemTable> memtable,
+                  Map::const_iterator begin, Map::const_iterator end)
+      : memtable_(std::move(memtable)), it_(begin), end_(end) {}
+
+  std::span<const KeyFlag> NextRun() override {
+    size_t n = 0;
+    for (; n < kRunCapacity && it_ != end_; ++n, ++it_) {
+      run_[n] = KeyFlag{it_->first, it_->second.anti_matter};
+    }
+    return {run_.data(), n};
+  }
+
+ private:
+  std::shared_ptr<const MemTable> memtable_;
+  Map::const_iterator it_;
+  Map::const_iterator end_;
+  KeyRunBuffer run_;
+};
+
+std::unique_ptr<KeyRunCursor> MemTable::NewFrozenKeyCursor(
+    std::shared_ptr<const MemTable> memtable, const LsmKey& lo,
+    const LsmKey& hi) {
+  auto [begin, end] = memtable->Range(lo, hi);
+  return std::make_unique<FrozenKeyCursor>(std::move(memtable), begin, end);
+}
+
+// Owns a copy of a range's keys; hands it out as one run.
+class MemTable::SnapshotKeyCursor final : public KeyRunCursor {
+ public:
+  explicit SnapshotKeyCursor(std::vector<KeyFlag> keys)
+      : keys_(std::move(keys)) {}
+
+  std::span<const KeyFlag> NextRun() override {
+    return std::exchange(keys_left_, {});
+  }
+
+ private:
+  std::vector<KeyFlag> keys_;
+  std::span<const KeyFlag> keys_left_{keys_};
+};
+
+std::unique_ptr<KeyRunCursor> MemTable::NewSnapshotKeyCursor(
+    const LsmKey& lo, const LsmKey& hi) const {
+  std::vector<KeyFlag> keys;
+  for (auto [it, end] = Range(lo, hi); it != end; ++it) {
+    keys.push_back(KeyFlag{it->first, it->second.anti_matter});
+  }
+  if (keys.empty()) return nullptr;
+  return std::make_unique<SnapshotKeyCursor>(std::move(keys));
 }
 
 void MemTable::Put(const LsmKey& key, std::string value, bool fresh_insert) {

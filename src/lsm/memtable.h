@@ -24,6 +24,7 @@
 #include <memory>
 #include <memory_resource>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "lsm/entry.h"
@@ -80,25 +81,40 @@ class MemTable {
 
   // Cursor over a copy of the entries in [lo, hi], for the mutable memtable,
   // which changes once its lock is released. The copy is one vector of views
-  // and, unless `keys_only`, one buffer holding every value's bytes; with
-  // `keys_only` every view's value is empty (counting needs keys alone).
+  // and one buffer holding every value's bytes.
   std::unique_ptr<EntryCursor> NewSnapshotCursor(const LsmKey& lo,
-                                                 const LsmKey& hi,
-                                                 bool keys_only) const;
+                                                 const LsmKey& hi) const;
+
+  // Key runs for a count. The frozen form reads the map in place, a bounded
+  // run at a time; the snapshot form copies the keys and anti-matter bits of
+  // [lo, hi] into one array and hands it out as one run, and is null when
+  // no key lies in [lo, hi] (a count then merges one input fewer).
+  static std::unique_ptr<KeyRunCursor> NewFrozenKeyCursor(
+      std::shared_ptr<const MemTable> memtable, const LsmKey& lo,
+      const LsmKey& hi);
+  std::unique_ptr<KeyRunCursor> NewSnapshotKeyCursor(const LsmKey& lo,
+                                                     const LsmKey& hi) const;
 
  private:
   class FrozenCursor;
   class SnapshotCursor;
+  class FrozenKeyCursor;
+  class SnapshotKeyCursor;
 
   struct EntryState {
     std::string value;
     bool anti_matter = false;
     bool fresh_insert = false;
   };
+  using Map = std::pmr::map<LsmKey, EntryState>;
+
+  // The entries in [lo, hi]; an inverted range is empty.
+  std::pair<Map::const_iterator, Map::const_iterator> Range(
+      const LsmKey& lo, const LsmKey& hi) const;
 
   // Declared before the map, so the map's nodes are destroyed first.
   std::pmr::unsynchronized_pool_resource pool_;
-  std::pmr::map<LsmKey, EntryState> entries_{&pool_};
+  Map entries_{&pool_};
   uint64_t anti_matter_count_ = 0;
   uint64_t approximate_bytes_ = 0;
 };

@@ -11,16 +11,44 @@
 // the winner is only advanced by the next Next(). Each input's head (its
 // current view) is cached, so picking a winner makes no virtual call; only
 // the inputs that move do.
+//
+// A count reads keys alone, and merges them by another route
+// (KeyRunMerge): each input hands out runs of keys, and the inputs are
+// folded newest-first through two-input merges that take one branch-free
+// step per key. Both merges apply one rule, OlderGoesFirst / OlderLeaves
+// below: the smaller key goes first, the newer input's key on a tie, and
+// the older equal key is consumed with it.
 
 #ifndef LSMSTATS_LSM_MERGE_CURSOR_H_
 #define LSMSTATS_LSM_MERGE_CURSOR_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "lsm/entry_cursor.h"
 
 namespace lsmstats {
+
+// The reconciliation rule between the heads of a newer and an older input.
+// `a < b` is evaluated without a branch, so a merge step whose winner is a
+// coin flip (interleaved inputs) does not mispredict.
+inline bool KeyLess(const LsmKey& a, const LsmKey& b) {
+  return (a.k0 < b.k0) |
+         ((a.k0 == b.k0) & ((a.k1 < b.k1) | ((a.k1 == b.k1) & (a.k2 < b.k2))));
+}
+// The older head goes out first: its key is smaller (a tie goes to the
+// newer head).
+inline bool OlderGoesFirst(const LsmKey& newer, const LsmKey& older) {
+  return KeyLess(older, newer);
+}
+// The older head leaves in this step: it goes out first, or it holds the
+// newer head's key and is shadowed by it.
+inline bool OlderLeaves(const LsmKey& newer, const LsmKey& older) {
+  return !KeyLess(newer, older);
+}
 
 class MergeCursor final : public EntryCursor {
  public:
@@ -63,6 +91,40 @@ class MergeCursor final : public EntryCursor {
   bool drop_anti_matter_;
   Status status_;
 };
+
+// The reconciled key stream over `inputs` (`inputs[0]` the newest), as
+// runs: every key once, with the anti-matter bit of its newest version, so
+// a deleted key still comes out, as anti-matter. The inputs are folded
+// through a balanced tree of two-input merges, allocated together; each
+// merge fills runs of its own. The stream stops at the first input that
+// fails, with that input's status. BM_KeyRunCount measures it beside
+// BM_MergeCursorCount.
+class KeyRunMerge final : public KeyRunCursor {
+ public:
+  explicit KeyRunMerge(std::vector<std::unique_ptr<KeyRunCursor>> inputs);
+  ~KeyRunMerge() override;
+
+  std::span<const KeyFlag> NextRun() override;
+
+ private:
+  class TwoWay;
+
+  // Wires the merges over inputs_[lo, hi) from merges_[*next] on; returns
+  // the cursor that yields their merged stream.
+  KeyRunCursor* Fold(size_t lo, size_t hi, size_t* next);
+
+  std::vector<std::unique_ptr<KeyRunCursor>> inputs_;
+  std::unique_ptr<TwoWay[]> merges_;  // inputs_.size() - 1 of them
+  KeyRunCursor* root_ = nullptr;      // null without inputs
+};
+
+// Number of live keys of KeyRunMerge(inputs) whose k1 lies in
+// [k1_lo, k1_hi], or the status of the input that failed: never a short
+// count.
+[[nodiscard]] StatusOr<uint64_t> CountLiveKeys(
+    std::vector<std::unique_ptr<KeyRunCursor>> inputs,
+    int64_t k1_lo = std::numeric_limits<int64_t>::min(),
+    int64_t k1_hi = std::numeric_limits<int64_t>::max());
 
 }  // namespace lsmstats
 

@@ -238,8 +238,10 @@ TEST(LsmTreeConcurrency, ConcurrentWritersAndReaders) {
 
   constexpr int kWriters = 4;
   constexpr int64_t kPerWriter = 3000;
+  constexpr uint64_t kTotal = kWriters * kPerWriter;
   std::atomic<bool> stop_readers{false};
   std::atomic<int> write_failures{0};
+  std::atomic<uint64_t> acknowledged{0};  // Puts that have returned OK
 
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
@@ -249,18 +251,26 @@ TEST(LsmTreeConcurrency, ConcurrentWritersAndReaders) {
       for (int64_t i = 0; i < kPerWriter; ++i) {
         Status s = tree->Put(PrimaryKey(base + i),
                              "v" + std::to_string(base + i), true);
-        if (!s.ok()) ++write_failures;
+        if (s.ok()) {
+          ++acknowledged;
+        } else {
+          ++write_failures;
+        }
       }
     });
   }
 
   // Readers race with rotation, flushes, and merges; every value they do
-  // find must be the one written for that key.
+  // find must be the one written for that key. Keys are only inserted, so a
+  // count that skipped or double-read an input while components were
+  // swapped shows: each count covers every Put acknowledged before it
+  // began, never exceeds the total, and never falls below the last one.
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&, r] {
       std::string value;
       int64_t probe = r;
+      uint64_t last_count = 0;
       while (!stop_readers.load()) {
         Status s = tree->Get(PrimaryKey(probe), &value);
         if (s.ok()) {
@@ -268,9 +278,13 @@ TEST(LsmTreeConcurrency, ConcurrentWritersAndReaders) {
         } else {
           EXPECT_EQ(s.code(), StatusCode::kNotFound);
         }
-        auto count =
-            tree->ScanCount(PrimaryKey(0), PrimaryKey(kWriters * kPerWriter));
-        EXPECT_TRUE(count.ok());
+        const uint64_t acknowledged_before = acknowledged.load();
+        auto count = tree->ScanCount(PrimaryKey(0), PrimaryKey(kTotal));
+        ASSERT_TRUE(count.ok()) << count.status().ToString();
+        EXPECT_GE(*count, acknowledged_before);
+        EXPECT_LE(*count, kTotal);
+        EXPECT_GE(*count, last_count);
+        last_count = *count;
         probe = (probe + 37) % (kWriters * kPerWriter);
       }
     });

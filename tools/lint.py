@@ -49,6 +49,11 @@ clang-tidy is unavailable:
                  bench/ are exempt) — so every component is announced to the
                  statistics listeners the same way and no second build loop
                  can drift from the first.
+  range-count    a `MergeCursor` is constructed only under src/lsm/
+                 (tests/ and bench/ are exempt) — range reads and counts go
+                 through LsmTree::Scan / ScanCount, so db/, stats/ and
+                 cluster/ never grow a hand-rolled counting loop beside the
+                 tree's keys-only count.
   background-error  `background_error_` is assigned only inside the
                  designated LsmTree setters (SetBackgroundErrorLocked /
                  ClearBackgroundErrorLocked) — every other mutation would
@@ -396,6 +401,23 @@ def check_component_writer(path: Path, raw_lines: list[str], code_lines: list[st
                    "by the tree's one component writer")
 
 
+# --------------------------------------------------------------- range-count
+
+RANGE_COUNT_RE = construction_re("MergeCursor")
+
+
+def check_range_count(path: Path, raw_lines: list[str], code_lines: list[str]) -> None:
+    if (REPO / "tests") in path.parents or (REPO / "bench") in path.parents:
+        return
+    if (SRC / "lsm") in path.parents:
+        return
+    for idx, code in enumerate(code_lines):
+        if RANGE_COUNT_RE.search(code) and not allowed(raw_lines[idx], "range-count"):
+            report(path, idx + 1, "range-count",
+                   "`MergeCursor` constructed outside src/lsm/ — count and "
+                   "scan through LsmTree::ScanCount / Scan")
+
+
 # ----------------------------------------------------------------- raw-mutex
 
 # Raw standard-library synchronization primitives. Locking in src/ must use
@@ -593,6 +615,7 @@ def main() -> int:
         check_include_cc(path, raw, code)
         check_void_drop(path, raw, code)
         check_wal_owner(path, raw, code)
+        check_range_count(path, raw, code)
     for path in src_only:
         raw, code = lines_of(path)
         check_raw_new_delete(path, raw, code)
